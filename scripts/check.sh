@@ -129,6 +129,16 @@ step "out-of-core sweep smoke (both storage modes)"
   --json=/tmp/sqlog_smoke_clean.sec63.json >/dev/null
 python3 scripts/check_bench_json.py /tmp/sqlog_smoke_clean.sec63.json
 
+# 3e. Repository benchmark: perfbench/ is a standalone CMake project
+#     outside the top-level build, so a library API change could break it
+#     without failing any test. Build its two binaries warning-clean, then
+#     run the harness self-test (every workload at a tiny input size; it
+#     builds its own RelWithDebInfo copy under .bench_build/ on first use).
+step "perfbench build + selftest"
+cmake -S perfbench -B build/perfbench-check -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror"
+cmake --build build/perfbench-check -j "$jobs" --target perfbench_tool sqlog_cli
+python3 perfbench/selftest.py
+
 # 4. Default test sweep (includes check-lint, the golden pipeline test,
 #    and the memory-budget test).
 step "ctest (default preset)"

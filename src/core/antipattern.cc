@@ -44,16 +44,6 @@ bool IsSolvable(AntipatternType type) {
   return detector->info().solvable;
 }
 
-bool InstanceSolvable(const AntipatternInstance& instance,
-                      const std::vector<CustomRule>& rules) {
-  if (instance.type == AntipatternType::kCustom) {
-    return instance.custom_rule >= 0 &&
-           static_cast<size_t>(instance.custom_rule) < rules.size() &&
-           rules[static_cast<size_t>(instance.custom_rule)].solvable();
-  }
-  return IsSolvable(instance.type);
-}
-
 uint64_t AntipatternReport::CountInstances(AntipatternType type) const {
   uint64_t n = 0;
   for (const auto& instance : instances) {

@@ -55,9 +55,9 @@ struct AntipatternReport {
   /// A query belongs to at most one instance (first-wins, Sec. 5.5).
   std::vector<uint32_t> instance_of_query;
 
-  /// The detector set the report was produced with; null only for
-  /// hand-built reports (legacy tests). Kept on the report so
-  /// per-instance metadata lookups never dangle.
+  /// The detector set the report was produced with (the solver rejects
+  /// a report without one). Kept on the report so per-instance metadata
+  /// lookups never dangle.
   std::shared_ptr<const DetectorSet> detectors;
 
   /// Legacy-type counters (deprecated: prefer the per-detector
@@ -95,12 +95,6 @@ AntipatternReport DetectAntipatterns(const ParsedLog& parsed, const TemplateStor
                                      const catalog::Schema* schema,
                                      const DetectorOptions& options,
                                      util::ThreadPool* pool = nullptr);
-
-/// True when an instance has a solving rule: built-in types consult
-/// IsSolvable; kCustom consults its rule's rewrite hook. Deprecated:
-/// prefer AntipatternReport::detectors->Solvable(instance).
-bool InstanceSolvable(const AntipatternInstance& instance,
-                      const std::vector<CustomRule>& rules);
 
 /// True when `query` can be a Stifle member (Def. 11 per-query axioms):
 /// exactly one predicate, equality against a constant, conjunctive

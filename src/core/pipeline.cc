@@ -18,12 +18,7 @@ bool PipelineResult::PatternIsAntipattern(size_t pattern_index, bool solvable_on
   // template in a longer signature does not flag the pattern: a CTH
   // head also used organically stays a pattern.
   for (const auto& d : antipatterns.distinct) {
-    if (solvable_only) {
-      bool solvable = antipatterns.detectors != nullptr
-                          ? antipatterns.detectors->info(d.detector).solvable
-                          : IsSolvable(d.type);
-      if (!solvable) continue;
-    }
+    if (solvable_only && !antipatterns.detectors->info(d.detector).solvable) continue;
     if (pattern.template_ids == d.template_ids) return true;
   }
   return false;
@@ -70,15 +65,11 @@ Status ValidatePipelineOptions(const PipelineOptions& options) {
           "streaming mode does not support extra_clean_passes (re-cleaning "
           "needs the clean log in memory)");
     }
-    if (!options.detector.custom_rules.empty()) {
-      return Status::InvalidArgument(
-          "streaming mode does not support custom rules (their hooks read "
-          "ASTs the streaming parser releases)");
-    }
+    // Covers every custom-rule adapter: their detect hooks read ASTs.
     if (detectors.value()->AnyNeedsAst()) {
       return Status::InvalidArgument(
           "streaming mode does not support detectors that read per-query "
-          "ASTs (the streaming parser releases them)");
+          "ASTs, such as custom rules (the streaming parser releases them)");
     }
   }
   return Status::OK();
@@ -201,9 +192,9 @@ Result<PipelineResult> Pipeline::Run(const log::QueryLog& raw_log) const {
                 result.stats);
 
   // Step 5 (Sec. 5.5): solve antipatterns.
-  SolveOutcome outcome = SolveAntipatterns(result.pre_clean, result.parsed,
-                                           result.antipatterns,
-                                           options_.detector.custom_rules);
+  SolveOutcome outcome =
+      SolveAntipatterns(result.pre_clean, result.parsed, result.antipatterns);
+  SQLOG_RETURN_IF_ERROR_R(outcome.status);
   result.clean_log = std::move(outcome.clean_log);
   result.removal_log = std::move(outcome.removal_log);
   result.stats.solve = outcome.stats;
@@ -221,9 +212,8 @@ Result<PipelineResult> Pipeline::Run(const log::QueryLog& raw_log) const {
       if (pass_report.detectors->Solvable(instance)) ++solvable;
     }
     if (solvable == 0) break;
-    SolveOutcome pass_outcome = SolveAntipatterns(result.clean_log, pass_parsed,
-                                                  pass_report,
-                                                  options_.detector.custom_rules);
+    SolveOutcome pass_outcome = SolveAntipatterns(result.clean_log, pass_parsed, pass_report);
+    SQLOG_RETURN_IF_ERROR_R(pass_outcome.status);
     result.clean_log = std::move(pass_outcome.clean_log);
   }
 
@@ -361,7 +351,7 @@ Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
   // so they re-ingest parse-free.
   std::unique_ptr<log::RecordWriter> clean_writer = log::LogIo::MakeLogWriter(
       log::ResolveWriteFormat(options.output_format, clean_path),
-      /*renumber=*/true, BuildStatementRecipe);  // SolveAntipatterns Renumber()s
+      /*renumber=*/true, BuildStatementRecipe);  // StreamingSolver needs seq = position
   std::unique_ptr<log::RecordWriter> removal_writer = log::LogIo::MakeLogWriter(
       log::ResolveWriteFormat(options.output_format, removal_path),
       /*renumber=*/true, BuildStatementRecipe);

@@ -57,15 +57,16 @@ struct PipelineOptions {
   /// Streaming ingestion (Pipeline::RunStreaming): the raw log is never
   /// held in memory — records are read, deduplicated, and parsed in
   /// batches of `batch_size`, and the clean/removal logs are written
-  /// incrementally. Peak memory is bounded by the batch plus the
-  /// template/pattern state, not the log size. Output is byte-identical
-  /// to the in-memory path at any batch size and thread count, but the
+  /// incrementally. Memory is below the in-memory path's but still grows
+  /// with the log: the ParsedLog keeps one entry per surviving record,
+  /// ~1.5 KB each (DESIGN.md § "Streaming & memory model"). Output is
+  /// byte-identical to the in-memory path at any batch size and thread count, but the
   /// input must already be (timestamp, seq)-ordered and the mode
   /// supports neither extra_clean_passes nor custom rules (their detect
   /// hooks read ASTs the streaming parser releases).
   bool streaming = false;
   /// Records per streaming batch; larger batches parallelize better,
-  /// smaller ones bound memory tighter.
+  /// smaller ones hold fewer records in flight.
   size_t batch_size = 4096;
   /// Format of RunStreaming's input (kAuto probes the file magic, so a
   /// renamed file still opens correctly). A binary `.sqb` input seeds
@@ -132,7 +133,8 @@ class Pipeline {
   /// and sampled into PipelineStats::parse_diagnostics.
   Result<PipelineResult> Run(const log::QueryLog& raw_log) const;
 
-  /// Executes the workflow with bounded memory: reads the raw log from
+  /// Executes the workflow without holding the raw or clean log in
+  /// memory (its footprint still grows with the log): reads the raw log from
   /// `input_path` twice (pass 1 dedups + parses in batches of
   /// options().batch_size; pass 2 re-reads to solve + write), and emits
   /// the clean and removal logs straight to `clean_path`/`removal_path`.

@@ -1,8 +1,6 @@
 #include "core/solver.h"
 
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "sql/ast.h"
@@ -61,33 +59,6 @@ const sql::TableRef* SingleTable(const sql::SelectStatement& stmt) {
   if (stmt.from_items.size() != 1) return nullptr;
   if (stmt.from_items[0]->kind() != sql::FromKind::kTable) return nullptr;
   return static_cast<const sql::TableRef*>(stmt.from_items[0].get());
-}
-
-/// Solvability of an instance under `report`: the report's detector set
-/// when present, the legacy type/rule path for hand-built reports.
-bool ReportSolvable(const AntipatternReport& report, const AntipatternInstance& instance,
-                    const std::vector<CustomRule>& custom_rules) {
-  if (report.detectors != nullptr) return report.detectors->Solvable(instance);
-  return InstanceSolvable(instance, custom_rules);
-}
-
-/// Dispatches the rewrite of one instance: through the report's
-/// detector set when present, else through the legacy type switch.
-Result<std::string> RewriteInstance(const AntipatternReport& report,
-                                    const AntipatternInstance& instance,
-                                    const std::vector<const ParsedQuery*>& members,
-                                    const std::vector<CustomRule>& custom_rules) {
-  if (report.detectors != nullptr) return report.detectors->Rewrite(instance, members);
-  switch (instance.type) {
-    case AntipatternType::kDwStifle: return RewriteDwStifle(members);
-    case AntipatternType::kDsStifle: return RewriteDsStifle(members);
-    case AntipatternType::kDfStifle: return RewriteDfStifle(members);
-    case AntipatternType::kSnc: return RewriteSnc(*members[0]);
-    case AntipatternType::kCustom:
-      return custom_rules[static_cast<size_t>(instance.custom_rule)].rewrite(*members[0]);
-    case AntipatternType::kCthCandidate: break;
-  }
-  return Status::Internal("unsolvable instance dispatched to RewriteInstance");
 }
 
 }  // namespace
@@ -264,146 +235,73 @@ Result<std::string> RewriteSnc(const ParsedQuery& query) {
   return PrintRewritten(*stmt);
 }
 
+namespace {
+
+/// In-memory RecordWriter: appends to a QueryLog with seq = output
+/// position, as a renumbering LogWriter writes it.
+class QueryLogWriter final : public log::RecordWriter {
+ public:
+  explicit QueryLogWriter(log::QueryLog& out) : out_(out) {}
+
+  Status Open(const std::string& /*path*/) override { return Status::OK(); }
+  Status Append(const log::LogRecord& record) override {
+    out_.Append(record);
+    out_.records().back().seq = out_.size() - 1;
+    return Status::OK();
+  }
+  Status Close() override { return Status::OK(); }
+  uint64_t records_written() const override { return out_.size(); }
+
+ private:
+  log::QueryLog& out_;
+};
+
+}  // namespace
+
 SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, const ParsedLog& parsed,
                                const AntipatternReport& report,
-                               const std::vector<CustomRule>& custom_rules) {
+                               const std::vector<CustomRule>& /*custom_rules*/) {
   SolveOutcome outcome;
-
-  // Only parsed SELECTs flow into the output logs (Sec. 5.3: syntax
-  // errors and non-SELECTs "are not considered any further").
-  std::vector<bool> was_parsed(pre_clean.size(), false);
-  for (const auto& query : parsed.queries) was_parsed[query.record_index] = true;
-
-  // record index → (instance id, member rank) for queries owned by an
-  // instance via the solver-priority map.
-  struct Membership {
-    uint32_t instance_id = 0;  // 1-based; 0 = none
-    bool is_first = false;
-  };
-  std::vector<Membership> membership(pre_clean.size());
-  for (size_t q = 0; q < parsed.queries.size(); ++q) {
-    uint32_t instance_id = report.instance_of_query[q];
-    if (instance_id == 0) continue;
-    const AntipatternInstance& instance = report.instances[instance_id - 1];
-    size_t record = parsed.queries[q].record_index;
-    membership[record].instance_id = instance_id;
-    membership[record].is_first =
-        parsed.queries[instance.query_indices.front()].record_index == record;
+  QueryLogWriter clean_writer(outcome.clean_log);
+  QueryLogWriter removal_writer(outcome.removal_log);
+  StreamingSolver solver(parsed, report, clean_writer, removal_writer);
+  for (const log::LogRecord& record : pre_clean.records()) {
+    outcome.status = solver.Feed(record);
+    if (!outcome.status.ok()) return outcome;
   }
-
-  // Pre-compute rewrites per solvable instance. Members parsed through
-  // the template cache carry no AST — restore them on demand by
-  // re-parsing the statement (the parser is deterministic, so this is
-  // the AST the uncached path would have rewritten from). Restored
-  // copies live in a deque so member pointers stay stable.
-  std::deque<ParsedQuery> restored;
-  auto member_with_ast = [&](size_t idx) -> const ParsedQuery* {
-    const ParsedQuery& query = parsed.queries[idx];
-    if (query.facts.ast != nullptr) return &query;
-    auto facts = sql::ParseAndAnalyze(pre_clean.records()[query.record_index].statement);
-    if (!facts.ok()) return nullptr;
-    restored.push_back(ParsedQuery{});
-    ParsedQuery& copy = restored.back();
-    copy.record_index = query.record_index;
-    copy.timestamp_ms = query.timestamp_ms;
-    copy.user_id = query.user_id;
-    copy.row_count = query.row_count;
-    copy.template_id = query.template_id;
-    copy.facts = std::move(facts.value());
-    return &copy;
-  };
-
-  std::unordered_map<uint32_t, std::string> rewritten;
-  std::unordered_set<uint32_t> failed;
-  for (size_t k = 0; k < report.instances.size(); ++k) {
-    const AntipatternInstance& instance = report.instances[k];
-    if (!ReportSolvable(report, instance, custom_rules)) {
-      ++outcome.stats.instances_unsolvable;
-      continue;
-    }
-    std::vector<const ParsedQuery*> members;
-    members.reserve(instance.query_indices.size());
-    bool members_ok = true;
-    for (size_t idx : instance.query_indices) {
-      const ParsedQuery* member = member_with_ast(idx);
-      if (member == nullptr) {
-        members_ok = false;
-        break;
-      }
-      members.push_back(member);
-    }
-    Result<std::string> rewrite = Status::Internal("unset");
-    if (!members_ok) {
-      rewrite = Status::Internal("instance member no longer parses");
-    } else {
-      rewrite = RewriteInstance(report, instance, members, custom_rules);
-    }
-    uint32_t id = static_cast<uint32_t>(k + 1);
-    if (rewrite.ok()) {
-      rewritten[id] = std::move(rewrite.value());
-      ++outcome.stats.instances_solved;
-      // Single-query instances are fixed in place (SNC, per-query
-      // rules); multi-query instances merge into their first member.
-      if (instance.query_indices.size() == 1) {
-        ++outcome.stats.queries_rewritten_in_place;
-      } else {
-        outcome.stats.queries_merged += instance.query_indices.size() - 1;
-      }
-    } else {
-      failed.insert(id);
-      ++outcome.stats.rewrite_failures;
-    }
-  }
-
-  // Emit the clean and removal logs in one pass over the input.
-  for (size_t r = 0; r < pre_clean.size(); ++r) {
-    const log::LogRecord& record = pre_clean.records()[r];
-    if (!was_parsed[r]) continue;
-    const Membership& m = membership[r];
-    if (m.instance_id == 0) {
-      outcome.clean_log.Append(record);
-      outcome.removal_log.Append(record);
-      continue;
-    }
-    const AntipatternInstance& instance = report.instances[m.instance_id - 1];
-    bool solvable =
-        ReportSolvable(report, instance, custom_rules) && failed.count(m.instance_id) == 0;
-    if (!solvable) {
-      // CTH candidates (and failed rewrites) stay in the clean log but
-      // leave the removal log.
-      outcome.clean_log.Append(record);
-      if (failed.count(m.instance_id) != 0) outcome.removal_log.Append(record);
-      continue;
-    }
-    if (m.is_first) {
-      log::LogRecord merged = record;
-      merged.statement = rewritten[m.instance_id];
-      outcome.clean_log.Append(std::move(merged));
-    }
-    // Members of solvable instances never reach the removal log.
-  }
-  outcome.clean_log.Renumber();
-  outcome.removal_log.Renumber();
+  outcome.status = solver.Finish();
+  outcome.stats = solver.stats();
   return outcome;
 }
 
-StreamingSolver::StreamingSolver(ParsedLog& parsed, const AntipatternReport& report,
+StreamingSolver::StreamingSolver(const ParsedLog& parsed, const AntipatternReport& report,
                                  log::RecordWriter& clean_writer,
                                  log::RecordWriter& removal_writer)
     : parsed_(parsed),
       report_(report),
       clean_writer_(clean_writer),
       removal_writer_(removal_writer) {
-  query_at_record_.reserve(parsed_.queries.size());
-  for (size_t q = 0; q < parsed_.queries.size(); ++q) {
-    query_at_record_[parsed_.queries[q].record_index] = q;
+  if (report_.detectors == nullptr) {
+    status_ = Status::InvalidArgument(
+        "antipattern report has no DetectorSet to dispatch rewrites through");
+    return;
   }
-  // Mirror SolveAntipatterns's pre-compute loop: every unsolvable
-  // instance counts once; every solvable instance gets a rewrite — here
-  // deferred until its last listed member streams past.
+  if (report_.instance_of_query.size() != parsed_.queries.size()) {
+    status_ = Status::InvalidArgument("antipattern report does not match the parsed log");
+    return;
+  }
+  for (size_t q = 1; q < parsed_.queries.size(); ++q) {
+    if (parsed_.queries[q].record_index <= parsed_.queries[q - 1].record_index) {
+      status_ = Status::InvalidArgument(StrFormat(
+          "parsed query %zu is not in ascending record order", q));
+      return;
+    }
+  }
+  // Every unsolvable instance counts once; every solvable instance gets
+  // a rewrite once its last listed member streams past.
   for (size_t k = 0; k < report_.instances.size(); ++k) {
     const AntipatternInstance& instance = report_.instances[k];
-    if (!ReportSolvable(report_, instance, /*custom_rules=*/{})) {
+    if (!report_.detectors->Solvable(instance)) {
       ++stats_.instances_unsolvable;
       continue;
     }
@@ -418,25 +316,38 @@ StreamingSolver::StreamingSolver(ParsedLog& parsed, const AntipatternReport& rep
 }
 
 Status StreamingSolver::Feed(const log::LogRecord& record) {
+  SQLOG_RETURN_IF_ERROR(status_);
   const size_t r = next_record_++;
-  auto record_it = query_at_record_.find(r);
-  // Non-SELECTs and syntax errors never reach the output logs.
-  if (record_it == query_at_record_.end()) return Status::OK();
-  const size_t q = record_it->second;
+  // Queries ascend by record index, so one cursor pairs them with the
+  // records. Non-SELECTs and syntax errors never reach the output logs.
+  if (next_query_ == parsed_.queries.size() ||
+      parsed_.queries[next_query_].record_index != r) {
+    return Status::OK();
+  }
+  const size_t q = next_query_++;
+  const ParsedQuery& query = parsed_.queries[q];
 
-  // Restore the AST for solvable-instance members (released by the
-  // streaming parser). The parser is deterministic, so this reproduces
-  // the AST the in-memory path rewrote from.
+  // Solvable-instance members without an AST (parse-cache hits, ASTs the
+  // streaming parser released) get a re-parsed copy. The parser is
+  // deterministic, so this is the AST an uncached parse rewrites from.
   std::vector<uint32_t> completed;
   auto need_it = ast_needs_.find(q);
   if (need_it != ast_needs_.end()) {
-    auto facts = sql::ParseAndAnalyze(record.statement);
-    if (!facts.ok()) {
-      return Status::Internal(
-          StrFormat("record %zu no longer parses between passes: %s", r,
-                    facts.status().message().c_str()));
+    if (query.facts.ast == nullptr) {
+      auto facts = sql::ParseAndAnalyze(record.statement);
+      if (!facts.ok()) {
+        return Status::Internal(
+            StrFormat("record %zu no longer parses between passes: %s", r,
+                      facts.status().message().c_str()));
+      }
+      need_it->second.restored = std::make_unique<ParsedQuery>(
+          ParsedQuery{.record_index = query.record_index,
+                      .timestamp_ms = query.timestamp_ms,
+                      .user_id = query.user_id,
+                      .row_count = query.row_count,
+                      .facts = std::move(facts.value()),
+                      .template_id = query.template_id});
     }
-    parsed_.queries[q].facts.ast = std::move(facts.value().ast);
     for (uint32_t id : need_it->second.instances) {
       auto pending_it = members_pending_.find(id);
       if (pending_it != members_pending_.end() && --pending_it->second == 0) {
@@ -455,7 +366,7 @@ Status StreamingSolver::Feed(const log::LogRecord& record) {
     slot.to_removal = true;
   } else {
     const AntipatternInstance& instance = report_.instances[claiming - 1];
-    if (!ReportSolvable(report_, instance, /*custom_rules=*/{})) {
+    if (!report_.detectors->Solvable(instance)) {
       // CTH candidates stay in the clean log but leave the removal log.
       slot.resolved = true;
       slot.to_clean = true;
@@ -476,16 +387,16 @@ void StreamingSolver::ResolveInstance(uint32_t instance_id) {
   const AntipatternInstance& instance = report_.instances[instance_id - 1];
   std::vector<const ParsedQuery*> members;
   members.reserve(instance.query_indices.size());
-  for (size_t idx : instance.query_indices) members.push_back(&parsed_.queries[idx]);
+  for (size_t idx : instance.query_indices) {
+    const ParsedQuery* restored = ast_needs_.at(idx).restored.get();
+    members.push_back(restored != nullptr ? restored : &parsed_.queries[idx]);
+  }
 
-  // Streaming mode rejects custom rules, so the empty rule vector can
-  // only be consulted by hand-built legacy reports without kCustom.
-  Result<std::string> rewrite = RewriteInstance(report_, instance, members,
-                                                /*custom_rules=*/{});
+  Result<std::string> rewrite = report_.detectors->Rewrite(instance, members);
   if (rewrite.ok()) {
     ++stats_.instances_solved;
-    // Mirror SolveAntipatterns: single-query instances are in-place
-    // fixes, multi-query instances merge into their first member.
+    // Single-query instances are fixed in place (SNC, per-query rules);
+    // multi-query instances merge into their first member.
     if (instance.query_indices.size() == 1) {
       ++stats_.queries_rewritten_in_place;
     } else {
@@ -513,13 +424,11 @@ void StreamingSolver::ResolveInstance(uint32_t instance_id) {
     }
   }
 
-  // Release member ASTs once no unresolved instance still needs them.
+  // Drop the bookkeeping (and any re-parsed copy) of members no
+  // unresolved instance still lists.
   for (size_t idx : instance.query_indices) {
     auto it = ast_needs_.find(idx);
-    if (it != ast_needs_.end() && --it->second.unresolved == 0) {
-      parsed_.queries[idx].facts.ast.reset();
-      ast_needs_.erase(it);
-    }
+    if (it != ast_needs_.end() && --it->second.unresolved == 0) ast_needs_.erase(it);
   }
 }
 
@@ -534,11 +443,17 @@ Status StreamingSolver::Drain() {
 }
 
 Status StreamingSolver::Finish() {
+  SQLOG_RETURN_IF_ERROR(status_);
   if (!members_pending_.empty()) {
     return Status::Internal(StrFormat(
         "%zu antipattern instance(s) missing members at end of stream — the "
         "input changed between passes",
         members_pending_.size()));
+  }
+  if (next_query_ != parsed_.queries.size()) {
+    return Status::Internal(StrFormat(
+        "%zu parsed queries lie past the end of the fed log",
+        parsed_.queries.size() - next_query_));
   }
   SQLOG_RETURN_IF_ERROR(Drain());
   if (!slots_.empty()) {

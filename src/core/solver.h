@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -32,6 +33,10 @@ struct SolveOutcome {
   log::QueryLog clean_log;
   log::QueryLog removal_log;
   SolveStats stats;
+  /// Not OK when solving failed (a report without a DetectorSet, a
+  /// ParsedLog out of record order, a member that no longer parses);
+  /// the logs are then incomplete.
+  Status status;
 };
 
 /// Rewrites one DW-Stifle instance (Example 10): one statement whose
@@ -56,38 +61,35 @@ Result<std::string> RewriteSnc(const ParsedQuery& query);
 /// position of the instance's first query; SNC statements (and solvable
 /// custom-rule hits) are fixed in place; everything else passes through.
 /// Also produces the removal variant. Rewritten/removed records keep
-/// their original metadata.
+/// their original metadata; both logs are renumbered.
 ///
-/// Rewrites dispatch through the report's detector set
-/// (AntipatternReport::detectors); `custom_rules` is the deprecated
-/// fallback consulted only for hand-built reports without a set, and
-/// must then be the rule vector the report was detected with.
+/// A thin front over StreamingSolver that feeds the whole log and
+/// collects the output in memory. Rewrites dispatch through the report's
+/// detector set (AntipatternReport::detectors); `custom_rules` is
+/// ignored and stays only for source compatibility.
 SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, const ParsedLog& parsed,
                                const AntipatternReport& report,
                                const std::vector<CustomRule>& custom_rules = {});
 
-/// Incremental flavour of SolveAntipatterns for the streaming ingestion
-/// path: pre-clean records are fed one at a time in pre-clean order and
-/// the clean/removal rows are emitted straight to the two RecordWriters (either format) —
-/// byte-identical (rows, order, renumbered seqs, SolveStats) to what
-/// SolveAntipatterns would produce over the whole log.
+/// The Sec. 5.5 solver, fed one pre-clean record at a time in pre-clean
+/// order: the clean/removal rows are emitted straight to the two
+/// RecordWriters (either format).
 ///
-/// Rewriting needs member ASTs, which the streaming parser released to
-/// bound memory; the solver re-parses just the member statements of
-/// solvable instances as they stream past (the parser is deterministic,
-/// so the ASTs — and therefore the rewrites — are identical), restores
-/// them into `parsed` temporarily, and clears them once the instance
-/// resolves. Records are buffered only while an instance that contains
-/// them is still unresolved, so the buffer is bounded by the detector's
-/// gap-bounded segment span, not the log length.
+/// Rewriting needs member ASTs. Members whose AST is null (parse-cache
+/// hits, or ASTs the streaming parser released) are re-parsed as they
+/// stream past into solver-owned copies; the parser is deterministic, so
+/// the rewrites match an uncached parse. Copies are dropped once every
+/// instance listing the member resolves; `parsed` is never modified.
+/// Records are buffered only while an instance that contains them is
+/// still unresolved (the detector's gap-bounded segment span).
 ///
-/// Custom rules are not supported (streaming mode rejects them — their
-/// detect hooks read the released ASTs).
+/// Errors are Statuses: a report without a DetectorSet or not matching
+/// `parsed`, `parsed.queries` not in strictly ascending record order, a
+/// member that no longer parses, or queries still unfed at Finish().
 class StreamingSolver {
  public:
-  /// Both writers must be open; they must be configured with
-  /// renumber=true to reproduce SolveAntipatterns's Renumber().
-  StreamingSolver(ParsedLog& parsed, const AntipatternReport& report,
+  /// Both writers must be open and renumbering (seq = output position).
+  StreamingSolver(const ParsedLog& parsed, const AntipatternReport& report,
                   log::RecordWriter& clean_writer, log::RecordWriter& removal_writer);
 
   /// Feeds the next pre-clean record (call in pre-clean order, starting
@@ -112,30 +114,32 @@ class StreamingSolver {
   };
 
   /// AST bookkeeping for one query listed by ≥1 solvable instance.
-  /// Instances overlap (claiming is first-wins), so a query's re-parsed
-  /// AST stays restored until every instance listing it has resolved.
+  /// Instances overlap (claiming is first-wins), so a re-parsed copy
+  /// stays alive until every instance listing the query has resolved.
   struct AstNeed {
     std::vector<uint32_t> instances;  // solvable instances listing the query
     uint32_t unresolved = 0;
+    std::unique_ptr<ParsedQuery> restored;  // set when the query had no AST
   };
 
   void ResolveInstance(uint32_t instance_id);
   Status Drain();
 
-  ParsedLog& parsed_ SQLOG_SHARD_LOCAL;
+  const ParsedLog& parsed_ SQLOG_CONST_AFTER_INIT;
   const AntipatternReport& report_ SQLOG_CONST_AFTER_INIT;
   log::RecordWriter& clean_writer_ SQLOG_SHARD_LOCAL;
   log::RecordWriter& removal_writer_ SQLOG_SHARD_LOCAL;
   SolveStats stats_ SQLOG_SHARD_LOCAL;
 
-  /// pre-clean record index → ParsedLog query index.
-  std::unordered_map<size_t, size_t> query_at_record_ SQLOG_SHARD_LOCAL;
+  /// Construction-time validation failure, returned by Feed/Finish.
+  Status status_ SQLOG_CONST_AFTER_INIT;
   /// query index → AST bookkeeping (solvable-instance members only).
   std::unordered_map<size_t, AstNeed> ast_needs_ SQLOG_SHARD_LOCAL;
   /// instance id (1-based, solvable only) → members not yet fed.
   std::unordered_map<uint32_t, size_t> members_pending_ SQLOG_SHARD_LOCAL;
   std::deque<Slot> slots_ SQLOG_SHARD_LOCAL;
   size_t next_record_ SQLOG_SHARD_LOCAL = 0;  // position assigned to the next Feed
+  size_t next_query_ SQLOG_SHARD_LOCAL = 0;   // first query not yet fed
 };
 
 }  // namespace sqlog::core

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "catalog/schema.h"
+#include "core/rules.h"
+#include "log/log_io.h"
 #include "util/string_util.h"
 
 namespace sqlog::core {
@@ -287,6 +289,55 @@ TEST(PipelineBuilderTest, RejectsDetectHookLessCustomRule) {
   auto pipeline = PipelineBuilder().WithDetector(std::move(detector)).Build();
   ASSERT_FALSE(pipeline.ok());
   EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PipelineTest, ParseCacheOffKeepsEveryAstThroughSolving) {
+  PipelineOptions options;
+  options.parse_cache = false;
+  PipelineResult result = RunCrafted(options);
+  EXPECT_GT(result.stats.solve.instances_solved, 0u);
+  ASSERT_FALSE(result.parsed.queries.empty());
+  for (const auto& query : result.parsed.queries) {
+    EXPECT_NE(query.facts.ast, nullptr) << "record " << query.record_index;
+  }
+}
+
+// --- RunStreaming's up-front rejections -------------------------------------
+
+Status RunStreaming(PipelineOptions options, const log::QueryLog& input) {
+  const std::string dir = ::testing::TempDir();
+  EXPECT_TRUE(log::LogIo::WriteFile(input, dir + "/validation_input.csv").ok());
+  return Pipeline(std::move(options))
+      .RunStreaming(dir + "/validation_input.csv", dir + "/validation_clean.csv",
+                    dir + "/validation_removal.csv")
+      .status();
+}
+
+TEST(StreamingValidationTest, OutOfOrderInputNamesTheRecord) {
+  log::QueryLog raw;
+  raw.Append(Make(2000, "u", "SELECT name FROM Employee WHERE empId = 8"));
+  raw.Append(Make(1000, "u", "SELECT name FROM Employee WHERE empId = 1"));
+  raw.Renumber();
+  Status status = RunStreaming({}, raw);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("record 2 (seq 1) is out of order"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(StreamingValidationTest, ExtraCleanPassesAreRejected) {
+  PipelineOptions options;
+  options.extra_clean_passes = 1;
+  Status status = RunStreaming(options, CraftedLog());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("extra_clean_passes"), std::string::npos);
+}
+
+TEST(StreamingValidationTest, CustomRulesAreRejected) {
+  PipelineOptions options;
+  options.detector.custom_rules = {MakeSncRule()};
+  Status status = RunStreaming(options, CraftedLog());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("custom rules"), std::string::npos) << status.ToString();
 }
 
 }  // namespace

@@ -277,5 +277,103 @@ TEST_F(SolveLogTest, Table3ReproducesPaperExample16) {
             "select e.id, e.name, e.surname from employees as e where e.id in (12, 15, 16)");
 }
 
+// --- failure paths: every one is a Status, never a crash or a silent drop --
+
+/// Collects the records a StreamingSolver emits.
+class VectorWriter : public log::RecordWriter {
+ public:
+  Status Open(const std::string& /*path*/) override { return Status::OK(); }
+  Status Append(const log::LogRecord& record) override {
+    records.push_back(record);
+    return Status::OK();
+  }
+  Status Close() override { return Status::OK(); }
+  uint64_t records_written() const override { return records.size(); }
+
+  std::vector<log::LogRecord> records;
+};
+
+const std::vector<std::pair<int64_t, std::string>> kDwRun = {
+    {0, "SELECT name FROM Employee WHERE empId = 8"},
+    {1000, "SELECT name FROM Employee WHERE empId = 1"},
+    {2000, "SELECT name FROM Employee WHERE empId = 5"},
+};
+
+TEST_F(SolveLogTest, MemberThatNoLongerParsesIsInternal) {
+  ASSERT_TRUE(Solve(kDwRun).status.ok());
+  ASSERT_EQ(report_.instances.size(), 1u);
+  // Without ASTs the solver must re-parse the member text it is fed.
+  for (auto& query : parsed_.queries) query.facts.ast.reset();
+  log::QueryLog changed = log_;
+  changed.records()[1].statement = "SELECT broken FROM";
+  SolveOutcome outcome = SolveAntipatterns(changed, parsed_, report_);
+  EXPECT_EQ(outcome.status.code(), StatusCode::kInternal);
+  EXPECT_NE(outcome.status.message().find("no longer parses"), std::string::npos)
+      << outcome.status.ToString();
+}
+
+TEST_F(SolveLogTest, MembersWithAstsAreNotReparsed) {
+  SolveOutcome expected = Solve(kDwRun);
+  ASSERT_TRUE(expected.status.ok());
+  for (auto& query : parsed_.queries) {
+    auto facts = sql::ParseAndAnalyze(log_.records()[query.record_index].statement);
+    ASSERT_TRUE(facts.ok());
+    query.facts = std::move(facts.value());
+  }
+  // The solver rewrites from the ASTs it is given, so it never sees
+  // the changed text.
+  log::QueryLog changed = log_;
+  changed.records()[1].statement = "SELECT broken FROM";
+  SolveOutcome outcome = SolveAntipatterns(changed, parsed_, report_);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.clean_log.records()[0].statement,
+            expected.clean_log.records()[0].statement);
+}
+
+TEST_F(SolveLogTest, FinishWithPendingMembersIsInternal) {
+  ASSERT_TRUE(Solve(kDwRun).status.ok());
+  VectorWriter clean;
+  VectorWriter removal;
+  StreamingSolver solver(parsed_, report_, clean, removal);
+  ASSERT_TRUE(solver.Feed(log_.records()[0]).ok());
+  ASSERT_TRUE(solver.Feed(log_.records()[1]).ok());
+  Status finish = solver.Finish();
+  EXPECT_EQ(finish.code(), StatusCode::kInternal);
+  EXPECT_NE(finish.message().find("missing members"), std::string::npos) << finish.ToString();
+  EXPECT_TRUE(clean.records.empty());  // the pending instance held both slots
+}
+
+TEST_F(SolveLogTest, MalformedReportIsInvalidArgument) {
+  ASSERT_TRUE(Solve(kDwRun).status.ok());
+  AntipatternReport without_set = report_;
+  without_set.detectors = nullptr;
+  SolveOutcome outcome = SolveAntipatterns(log_, parsed_, without_set);
+  EXPECT_EQ(outcome.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(outcome.clean_log.empty());
+
+  AntipatternReport short_map = report_;
+  short_map.instance_of_query.pop_back();
+  EXPECT_EQ(SolveAntipatterns(log_, parsed_, short_map).status.code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(SolveLogTest, QueriesPastTheFedLogAreInternal) {
+  ASSERT_TRUE(Solve({{0, "SELECT name FROM Employee WHERE empId = 8"},
+                     {100000000, "SELECT name FROM Employee WHERE empId = 1"}})
+                  .status.ok());
+  ASSERT_TRUE(report_.instances.empty());
+  log::QueryLog truncated;
+  truncated.Append(log_.records()[0]);
+  SolveOutcome outcome = SolveAntipatterns(truncated, parsed_, report_);
+  EXPECT_EQ(outcome.status.code(), StatusCode::kInternal);
+}
+
+TEST_F(SolveLogTest, UnorderedParsedLogIsInvalidArgument) {
+  ASSERT_TRUE(Solve(kDwRun).status.ok());
+  std::swap(parsed_.queries[0].record_index, parsed_.queries[1].record_index);
+  SolveOutcome outcome = SolveAntipatterns(log_, parsed_, report_);
+  EXPECT_EQ(outcome.status.code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace sqlog::core
