@@ -85,23 +85,46 @@ fi
 #    in detector_registry_test; this catches CLI-level wiring breaks).
 step "sqlog report smoke"
 smoke_log=$(mktemp /tmp/sqlog_smoke.XXXXXX.csv)
-trap 'rm -f "$smoke_log" "${smoke_log%.csv}".* /tmp/sqlog_smoke_clean.*' EXIT
+trap 'rm -rf "$smoke_log" "${smoke_log%.csv}".* /tmp/sqlog_smoke_clean.*' EXIT
 ./build/tools/sqlog generate 2000 "$smoke_log"
 ./build/tools/sqlog report "$smoke_log" >/dev/null
 
 # 3b. Binary-format smoke: convert to `.sqb`, clean from it (exercising
 #     the zero-parse ingest path), convert back, and require the result
-#     to be byte-identical to cleaning the CSV directly.
-step "sqb convert round-trip smoke"
+#     to be byte-identical to cleaning the CSV directly. The in-memory
+#     and streaming cleans of the CSV share one pipeline core, so they
+#     must write identical logs and print the same parse-cache line.
+step "sqb convert round-trip + in-memory/streaming twin smoke"
 smoke_sqb="${smoke_log%.csv}.sqb"
 smoke_back="${smoke_log%.csv}.back.csv"
 ./build/tools/sqlog convert "$smoke_log" "$smoke_sqb" >/dev/null
 ./build/tools/sqlog convert "$smoke_sqb" "$smoke_back" >/dev/null
 cmp "$smoke_log" "$smoke_back"
-./build/tools/sqlog clean "$smoke_log" /tmp/sqlog_smoke_clean.a --streaming >/dev/null
+./build/tools/sqlog clean "$smoke_log" /tmp/sqlog_smoke_clean.a --streaming \
+  >/tmp/sqlog_smoke_clean.a.out
 ./build/tools/sqlog clean "$smoke_sqb" /tmp/sqlog_smoke_clean.b --streaming >/dev/null
 cmp /tmp/sqlog_smoke_clean.a.clean.csv /tmp/sqlog_smoke_clean.b.clean.csv
 cmp /tmp/sqlog_smoke_clean.a.removal.csv /tmp/sqlog_smoke_clean.b.removal.csv
+./build/tools/sqlog clean "$smoke_log" /tmp/sqlog_smoke_clean.m >/tmp/sqlog_smoke_clean.m.out
+cmp /tmp/sqlog_smoke_clean.a.clean.csv /tmp/sqlog_smoke_clean.m.clean.csv
+cmp /tmp/sqlog_smoke_clean.a.removal.csv /tmp/sqlog_smoke_clean.m.removal.csv
+diff <(grep '^parse cache:' /tmp/sqlog_smoke_clean.a.out) \
+  <(grep '^parse cache:' /tmp/sqlog_smoke_clean.m.out)
+
+# 3b2. `stats --streaming` has no outputs, so it must neither create nor
+#      touch a file — not even one named like its old scratch outputs.
+step "stats --streaming leaves the input directory unchanged"
+stats_dir=$(mktemp -d /tmp/sqlog_smoke_clean.stats.XXXXXX)
+cp "$smoke_log" "$stats_dir/in.csv"
+echo data >"$stats_dir/in.csv.stats-tmp.clean.csv"
+stats_before=$(cd "$stats_dir" && ls -A | xargs sha256sum)
+./build/tools/sqlog stats --streaming "$stats_dir/in.csv" >/dev/null
+stats_after=$(cd "$stats_dir" && ls -A | xargs sha256sum)
+[[ "$stats_before" == "$stats_after" ]] || {
+  echo "sqlog stats --streaming changed $stats_dir" >&2
+  exit 1
+}
+rm -r "$stats_dir"
 
 # 3c. Binary clean *output*: `clean --out-format=sqb` must produce `.sqb`
 #     logs that convert back byte-identical to the CSV clean outputs, in

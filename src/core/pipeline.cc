@@ -1,7 +1,10 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
+#include <functional>
 #include <memory>
-#include <unordered_set>
+#include <span>
+#include <utility>
 
 #include "core/parse_cache.h"
 #include "log/binlog.h"
@@ -69,7 +72,7 @@ Status ValidatePipelineOptions(const PipelineOptions& options) {
     if (detectors.value()->AnyNeedsAst()) {
       return Status::InvalidArgument(
           "streaming mode does not support detectors that read per-query "
-          "ASTs, such as custom rules (the streaming parser releases them)");
+          "ASTs, such as custom rules (streaming drops them after each batch)");
     }
   }
   return Status::OK();
@@ -94,300 +97,332 @@ std::unique_ptr<util::ThreadPool> MakePool(size_t num_threads) {
   return std::make_unique<util::ThreadPool>(threads - 1);
 }
 
-/// Steps 3-4 + SWS, shared verbatim by the in-memory and streaming
-/// paths: mine patterns, detect antipatterns, detect SWS, and fill the
-/// overview statistics.
-void AnalyzeParsed(const PipelineOptions& options, const catalog::Schema* schema,
-                   util::ThreadPool* pool, const ParsedLog& parsed,
-                   const TemplateStore& templates,
-                   std::shared_ptr<const DetectorSet> detectors,
-                   std::vector<Pattern>& patterns, AntipatternReport& antipatterns,
-                   SwsReport& sws, PipelineStats& stats) {
+/// The Sec. 6.8 reduced-input mode: every query is attributed to one
+/// anonymous user.
+void StripUserMetadata(log::LogRecord& record) {
+  record.user.clear();
+  record.session.clear();
+}
+
+/// The pre-clean log (deduplicated, seq = pre-clean position) as the
+/// pipeline core reads it: once to parse, once to solve. Run reads it
+/// from memory; RunStreaming re-reads and re-filters the input file.
+struct PreCleanSource {
+  /// Pass 1: hands every pre-clean record to the parser in batches
+  /// (with `.sqb` seeds and shapes when the input has them).
+  std::function<Status(StreamingParser&)> parse;
+  /// Pass 2: feeds every pre-clean record to the solver, in order.
+  std::function<Status(StreamingSolver&)> solve;
+};
+
+/// A pre-clean log held in memory, parsed in slices of `batch_size`
+/// records without copying them.
+PreCleanSource InMemorySource(const log::QueryLog& pre_clean, size_t batch_size) {
+  const std::span<const log::LogRecord> records(pre_clean.records());
+  return {[records, batch_size](StreamingParser& parser) -> Status {
+            parser.ReserveQueries(records.size());
+            for (size_t begin = 0; begin < records.size(); begin += batch_size) {
+              parser.FeedBatch(
+                  records.subspan(begin, std::min(batch_size, records.size() - begin)));
+            }
+            return Status::OK();
+          },
+          [records](StreamingSolver& solver) -> Status {
+            for (const log::LogRecord& record : records) {
+              SQLOG_RETURN_IF_ERROR(solver.Feed(record));
+            }
+            return Status::OK();
+          }};
+}
+
+/// The analyze half of the pipeline core, steps 2-4 + SWS: parse pass 1
+/// of `source`, then mine patterns, detect antipatterns and SWS, and
+/// fill the overview statistics (the dedup counts are the adapter's).
+Status AnalyzePreClean(const PipelineOptions& options, const catalog::Schema* schema,
+                       util::ThreadPool* pool, const PreCleanSource& source,
+                       StreamingRunResult& result) {
+  Result<std::shared_ptr<const DetectorSet>> detectors =
+      DetectorSet::Resolve(options.detector);
+  SQLOG_RETURN_IF_ERROR(detectors.status());
+  // Step 2 (Sec. 5.3): parse statements, build templates. AST-reading
+  // detectors (legacy custom rules, which only Run accepts) force the
+  // cache off: their hooks read per-query ASTs, which hits never build.
+  ParseCacheOptions cache_options;
+  cache_options.enabled = options.parse_cache && !(*detectors)->AnyNeedsAst();
+  StreamingParser parser(result.templates, options.max_parse_diagnostics, pool,
+                         cache_options);
+  SQLOG_RETURN_IF_ERROR(source.parse(parser));
+  result.parsed = parser.Finish();
+  PipelineStats& stats = result.stats;
+  stats.select_count = result.parsed.queries.size();
+  stats.non_select_count = result.parsed.non_select_count;
+  stats.syntax_error_count = result.parsed.syntax_error_count;
+  stats.parse_diagnostics = result.parsed.diagnostics;
+
   // Step 3 (Sec. 5.4): mine patterns.
   if (options.mine_patterns) {
-    patterns = MinePatterns(parsed, options.miner, pool);
-    SortByFrequency(patterns);
-    stats.pattern_count = patterns.size();
-    if (!patterns.empty()) {
-      stats.max_pattern_frequency = patterns.front().frequency;
+    result.patterns = MinePatterns(result.parsed, options.miner, pool);
+    SortByFrequency(result.patterns);
+    stats.pattern_count = result.patterns.size();
+    if (!result.patterns.empty()) {
+      stats.max_pattern_frequency = result.patterns.front().frequency;
     }
   }
 
   // Step 4: detect antipatterns.
-  antipatterns = DetectAntipatterns(parsed, templates, schema, options.detector,
-                                    std::move(detectors), pool);
-  stats.distinct_dw = antipatterns.CountDistinct(AntipatternType::kDwStifle);
-  stats.queries_dw = antipatterns.CountQueries(AntipatternType::kDwStifle);
-  stats.distinct_ds = antipatterns.CountDistinct(AntipatternType::kDsStifle);
-  stats.queries_ds = antipatterns.CountQueries(AntipatternType::kDsStifle);
-  stats.distinct_df = antipatterns.CountDistinct(AntipatternType::kDfStifle);
-  stats.queries_df = antipatterns.CountQueries(AntipatternType::kDfStifle);
-  stats.distinct_cth = antipatterns.CountDistinct(AntipatternType::kCthCandidate);
-  stats.queries_cth = antipatterns.CountQueries(AntipatternType::kCthCandidate);
-  stats.distinct_snc = antipatterns.CountDistinct(AntipatternType::kSnc);
-  stats.queries_snc = antipatterns.CountQueries(AntipatternType::kSnc);
+  result.antipatterns = DetectAntipatterns(result.parsed, result.templates, schema,
+                                           options.detector, detectors.value(), pool);
+  const AntipatternReport& report = result.antipatterns;
+  stats.distinct_dw = report.CountDistinct(AntipatternType::kDwStifle);
+  stats.queries_dw = report.CountQueries(AntipatternType::kDwStifle);
+  stats.distinct_ds = report.CountDistinct(AntipatternType::kDsStifle);
+  stats.queries_ds = report.CountQueries(AntipatternType::kDsStifle);
+  stats.distinct_df = report.CountDistinct(AntipatternType::kDfStifle);
+  stats.queries_df = report.CountQueries(AntipatternType::kDfStifle);
+  stats.distinct_cth = report.CountDistinct(AntipatternType::kCthCandidate);
+  stats.queries_cth = report.CountQueries(AntipatternType::kCthCandidate);
+  stats.distinct_snc = report.CountDistinct(AntipatternType::kSnc);
+  stats.queries_snc = report.CountQueries(AntipatternType::kSnc);
 
   // Registry additions (legacy_type kCustom, not a custom-rule adapter)
   // get their own row pair; empty for the default set, so the
   // golden-compared table is unchanged there.
-  const DetectorSet& set = *antipatterns.detectors;
+  const DetectorSet& set = *report.detectors;
   for (uint32_t d = 0; d < set.size(); ++d) {
     const DetectorInfo& info = set.info(d);
     if (info.legacy_type != AntipatternType::kCustom || info.custom_rule >= 0) continue;
     PipelineStats::DetectorStatsRow row;
     row.label = info.display_name;
-    row.distinct_count = antipatterns.DistinctOf(d);
-    row.query_count = antipatterns.QueriesOf(d);
+    row.distinct_count = report.DistinctOf(d);
+    row.query_count = report.QueriesOf(d);
     stats.extra_detectors.push_back(std::move(row));
   }
 
   // SWS detection (Sec. 6.5) over the mined patterns.
   if (options.mine_patterns) {
-    sws = DetectSws(patterns, parsed.queries.size(), options.sws);
+    result.sws = DetectSws(result.patterns, result.parsed.queries.size(), options.sws);
   }
+  return Status::OK();
+}
+
+/// The solve half of the pipeline core, step 5 (Sec. 5.5): pass 2 of
+/// `source` through the StreamingSolver into the two writers (open and
+/// renumbering), plus the solve statistics and output sizes.
+Status SolvePreClean(const PreCleanSource& source, StreamingRunResult& result,
+                     log::RecordWriter& clean_writer, log::RecordWriter& removal_writer) {
+  StreamingSolver solver(result.parsed, result.antipatterns, clean_writer, removal_writer);
+  SQLOG_RETURN_IF_ERROR(source.solve(solver));
+  SQLOG_RETURN_IF_ERROR(solver.Finish());
+  result.stats.solve = solver.stats();
+  result.stats.final_size = clean_writer.records_written();
+  result.stats.removal_size = removal_writer.records_written();
+  return Status::OK();
 }
 
 }  // namespace
 
 Result<PipelineResult> Pipeline::Run(const log::QueryLog& raw_log) const {
   SQLOG_RETURN_IF_ERROR_R(ValidatePipelineOptions(options_));
-  Result<std::shared_ptr<const DetectorSet>> detectors =
-      DetectorSet::Resolve(options_.detector);
-  if (!detectors.ok()) return detectors.status();  // unreachable post-validation
 
   std::unique_ptr<util::ThreadPool> owned_pool = MakePool(options_.num_threads);
   util::ThreadPool* pool = owned_pool.get();
 
   PipelineResult result;
-  result.stats.original_size = raw_log.size();
 
-  // Step 1 (Sec. 5.2): delete duplicates.
-  log::QueryLog working = raw_log;
-  if (!options_.use_user_metadata) {
-    for (auto& record : working.records()) {
-      record.user.clear();
-      record.session.clear();
-    }
-  }
+  // Step 1 (Sec. 5.2): delete duplicates. RemoveDuplicates sorts its own
+  // copy, so the raw log is read in place; an anonymized copy lives only
+  // until dedup is done.
   DedupStats dedup_stats;
-  result.pre_clean = RemoveDuplicates(working, options_.dedup, &dedup_stats, pool);
+  if (options_.use_user_metadata) {
+    result.pre_clean = RemoveDuplicates(raw_log, options_.dedup, &dedup_stats, pool);
+  } else {
+    log::QueryLog anonymous = raw_log;
+    for (log::LogRecord& record : anonymous.records()) StripUserMetadata(record);
+    result.pre_clean = RemoveDuplicates(anonymous, options_.dedup, &dedup_stats, pool);
+  }
+  result.stats.original_size = raw_log.size();
   result.stats.after_dedup_size = dedup_stats.output_count;
   result.stats.duplicates_removed = dedup_stats.removed_count;
 
-  // Step 2 (Sec. 5.3): parse statements, build templates. AST-reading
-  // detectors (legacy custom rules) force the cache off: their hooks
-  // read per-query ASTs, which cache hits never build.
-  ParseCacheOptions cache_options;
-  cache_options.enabled = options_.parse_cache && !detectors.value()->AnyNeedsAst();
-  result.parsed = ParseLog(result.pre_clean, result.templates, pool,
-                           options_.max_parse_diagnostics, cache_options);
-  result.stats.select_count = result.parsed.queries.size();
-  result.stats.non_select_count = result.parsed.non_select_count;
-  result.stats.syntax_error_count = result.parsed.syntax_error_count;
-  result.stats.parse_diagnostics = result.parsed.diagnostics;
+  // Steps 2-5 through the core, writing the clean/removal logs in memory.
+  const PreCleanSource source = InMemorySource(result.pre_clean, options_.batch_size);
+  SQLOG_RETURN_IF_ERROR_R(AnalyzePreClean(options_, schema_, pool, source, result));
+  log::QueryLogWriter clean_writer(result.clean_log);
+  log::QueryLogWriter removal_writer(result.removal_log);
+  SQLOG_RETURN_IF_ERROR_R(SolvePreClean(source, result, clean_writer, removal_writer));
 
-  // Steps 3-4 + SWS (shared with the streaming path).
-  AnalyzeParsed(options_, schema_, pool, result.parsed, result.templates,
-                detectors.value(), result.patterns, result.antipatterns, result.sws,
-                result.stats);
-
-  // Step 5 (Sec. 5.5): solve antipatterns.
-  SolveOutcome outcome =
-      SolveAntipatterns(result.pre_clean, result.parsed, result.antipatterns);
-  SQLOG_RETURN_IF_ERROR_R(outcome.status);
-  result.clean_log = std::move(outcome.clean_log);
-  result.removal_log = std::move(outcome.removal_log);
-  result.stats.solve = outcome.stats;
-
-  // Optional re-clean passes (Sec. 5.5). Statistics keep describing the
-  // first pass — only the clean log is refined further.
+  // Optional re-clean passes (Sec. 5.5): the core again over the clean
+  // log, stopping before the solve when nothing solvable is left.
+  // Statistics keep describing the first pass — only the clean log is
+  // refined further.
+  PipelineOptions pass_options = options_;
+  pass_options.mine_patterns = false;
+  pass_options.max_parse_diagnostics = 0;
   for (size_t pass = 0; pass < options_.extra_clean_passes; ++pass) {
-    TemplateStore pass_templates;
-    ParsedLog pass_parsed =
-        ParseLog(result.clean_log, pass_templates, pool, /*max_diagnostics=*/0, cache_options);
-    AntipatternReport pass_report = DetectAntipatterns(
-        pass_parsed, pass_templates, schema_, options_.detector, detectors.value(), pool);
-    uint64_t solvable = 0;
-    for (const auto& instance : pass_report.instances) {
-      if (pass_report.detectors->Solvable(instance)) ++solvable;
-    }
-    if (solvable == 0) break;
-    SolveOutcome pass_outcome = SolveAntipatterns(result.clean_log, pass_parsed, pass_report);
-    SQLOG_RETURN_IF_ERROR_R(pass_outcome.status);
-    result.clean_log = std::move(pass_outcome.clean_log);
+    StreamingRunResult pass_analysis;
+    const PreCleanSource pass_source = InMemorySource(result.clean_log, options_.batch_size);
+    SQLOG_RETURN_IF_ERROR_R(
+        AnalyzePreClean(pass_options, schema_, pool, pass_source, pass_analysis));
+    const AntipatternReport& report = pass_analysis.antipatterns;
+    auto solvable = [&](const AntipatternInstance& i) { return report.detectors->Solvable(i); };
+    if (std::ranges::none_of(report.instances, solvable)) break;
+    log::QueryLog pass_clean;
+    log::QueryLogWriter pass_clean_writer(pass_clean);
+    log::DiscardingWriter pass_removal_writer;
+    SQLOG_RETURN_IF_ERROR_R(
+        SolvePreClean(pass_source, pass_analysis, pass_clean_writer, pass_removal_writer));
+    result.clean_log = std::move(pass_clean);
   }
 
   result.stats.final_size = result.clean_log.size();
-  result.stats.removal_size = result.removal_log.size();
-
   return result;
 }
 
 Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
                                                   const std::string& clean_path,
                                                   const std::string& removal_path) const {
+  // Invalid options fail before the outputs are created (truncated).
   PipelineOptions options = options_;
-  options.streaming = true;  // enforce the streaming-mode restrictions
+  options.streaming = true;
   SQLOG_RETURN_IF_ERROR_R(ValidatePipelineOptions(options));
-  Result<std::shared_ptr<const DetectorSet>> detectors =
-      DetectorSet::Resolve(options.detector);
-  if (!detectors.ok()) return detectors.status();  // unreachable post-validation
 
-  std::unique_ptr<util::ThreadPool> owned_pool = MakePool(options.num_threads);
-  util::ThreadPool* pool = owned_pool.get();
-
-  StreamingRunResult result;
-
-  // Pass 1: read + dedup + parse, one batch at a time. The in-memory
-  // path sorts by (timestamp, seq) before dedup; streaming replays that
-  // scan in file order, so the file must already be sorted — generated
-  // and exported logs are, arbitrary inputs are checked.
-  auto input_format = log::ResolveReadFormat(options.input_format, input_path);
-  SQLOG_RETURN_IF_ERROR_R(input_format.status());
-  StreamingDeduper deduper(options.dedup);
-  ParseCacheOptions cache_options;
-  // Validation rejected AST-reading detectors in streaming mode, so the
-  // cache can always be honoured here.
-  cache_options.enabled = options.parse_cache;
-  StreamingParser parser(result.templates, options.max_parse_diagnostics, pool,
-                         cache_options);
-  std::unique_ptr<log::RecordReader> reader_owned;
-  log::BinLogReader* bin_reader = nullptr;  // non-null: shaped fast ingest
-  if (*input_format == log::LogFormat::kSqb) {
-    // A binary input carries its template dictionary up front: seed the
-    // parser's persistent cache from the stored recipes, so every
-    // record whose template validated ingests without a full parse.
-    // Record shapes then let the parser skip lexing too (zero-lex path).
-    auto bin = std::make_unique<log::BinLogReader>();
-    SQLOG_RETURN_IF_ERROR_R(bin->Open(input_path));
-    std::vector<std::unique_ptr<ParseCacheEntry>> seeds;
-    seeds.reserve(bin->dictionary().size());
-    for (const auto& entry : bin->dictionary()) {
-      seeds.push_back(DeserializeStatementRecipe(entry.text, entry.recipe));
-    }
-    parser.SeedCache(std::move(seeds));
-    // Upper bound (dedup may drop records), so the query vector never
-    // realloc-moves during ingest.
-    parser.ReserveQueries(bin->record_count());
-    bin_reader = bin.get();
-    reader_owned = std::move(bin);
-  } else {
-    reader_owned = std::make_unique<log::LogReader>();
-    SQLOG_RETURN_IF_ERROR_R(reader_owned->Open(input_path));
-  }
-  log::RecordReader& reader = *reader_owned;
-  std::vector<uint8_t> kept;  // per raw record, consulted by pass 2
-  std::vector<log::LogRecord> batch;
-  // Shape pool parallel to batch (`.sqb` only): the live prefix is
-  // overwritten in place so span vectors keep capacity across batches.
-  std::vector<log::RecordShape> batch_shapes;
-  size_t batch_shape_count = 0;
-  batch.reserve(options.batch_size);
-  log::LogRecord record;
-  bool eof = false;
-  bool have_previous = false;
-  int64_t previous_ts = 0;
-  uint64_t previous_seq = 0;
-  uint64_t raw_count = 0;
-  uint64_t pre_clean_count = 0;
-  while (true) {
-    SQLOG_RETURN_IF_ERROR_R(reader.ReadRecord(&record, &eof));
-    if (eof) break;
-    ++raw_count;
-    if (!options.use_user_metadata) {
-      record.user.clear();
-      record.session.clear();
-    }
-    if (have_previous &&
-        (record.timestamp_ms < previous_ts ||
-         (record.timestamp_ms == previous_ts && record.seq < previous_seq))) {
-      return Status::InvalidArgument(StrFormat(
-          "streaming mode requires a (timestamp, seq)-ordered input; record "
-          "%llu (seq %llu) is out of order — run the in-memory pipeline instead",
-          (unsigned long long)raw_count, (unsigned long long)record.seq));
-    }
-    previous_ts = record.timestamp_ms;
-    previous_seq = record.seq;
-    have_previous = true;
-    bool duplicate = deduper.IsDuplicate(record);
-    kept.push_back(duplicate ? 0 : 1);
-    if (duplicate) continue;
-    // Replicate RemoveDuplicates's Renumber(): pre-clean seqs are
-    // positional (parse diagnostics echo them).
-    record.seq = pre_clean_count++;
-    if (bin_reader != nullptr) {
-      if (batch_shape_count == batch_shapes.size()) batch_shapes.emplace_back();
-      batch_shapes[batch_shape_count++].CopyFrom(bin_reader->last_shape());
-    }
-    batch.push_back(std::move(record));
-    if (batch.size() >= options.batch_size) {
-      parser.FeedBatch(batch, bin_reader != nullptr ? &batch_shapes : nullptr);
-      batch.clear();
-      batch_shape_count = 0;
-    }
-  }
-  parser.FeedBatch(batch, bin_reader != nullptr ? &batch_shapes : nullptr);
-  batch.clear();
-  batch.shrink_to_fit();
-  result.parsed = parser.Finish();
-
-  result.stats.original_size = raw_count;
-  result.stats.after_dedup_size = pre_clean_count;
-  result.stats.duplicates_removed = deduper.duplicates_seen();
-  result.stats.select_count = result.parsed.queries.size();
-  result.stats.non_select_count = result.parsed.non_select_count;
-  result.stats.syntax_error_count = result.parsed.syntax_error_count;
-  result.stats.parse_diagnostics = result.parsed.diagnostics;
-
-  // Steps 3-4 + SWS run on the compact AST-free state, unchanged.
-  AnalyzeParsed(options, schema_, pool, result.parsed, result.templates,
-                detectors.value(), result.patterns, result.antipatterns, result.sws,
-                result.stats);
-
-  // Pass 2: re-read the input, skip the duplicates found in pass 1, and
-  // solve + emit the clean/removal logs incrementally. Output format
-  // resolves per path (kAuto: by extension), so `clean.sqb` +
-  // `removal.csv` is a valid combination; `.sqb` outputs store recipes
-  // so they re-ingest parse-free.
+  // Output format resolves per path (kAuto: by extension), so
+  // `clean.sqb` + `removal.csv` is a valid combination; `.sqb` outputs
+  // store recipes so they re-ingest parse-free. Both writers renumber:
+  // the solver needs seq = output position.
   std::unique_ptr<log::RecordWriter> clean_writer = log::LogIo::MakeLogWriter(
       log::ResolveWriteFormat(options.output_format, clean_path),
-      /*renumber=*/true, BuildStatementRecipe);  // StreamingSolver needs seq = position
+      /*renumber=*/true, BuildStatementRecipe);
   std::unique_ptr<log::RecordWriter> removal_writer = log::LogIo::MakeLogWriter(
       log::ResolveWriteFormat(options.output_format, removal_path),
       /*renumber=*/true, BuildStatementRecipe);
   SQLOG_RETURN_IF_ERROR_R(clean_writer->Open(clean_path));
   SQLOG_RETURN_IF_ERROR_R(removal_writer->Open(removal_path));
-  StreamingSolver solver(result.parsed, result.antipatterns, *clean_writer,
-                         *removal_writer);
-  auto second_reader_owned = log::LogIo::OpenLogReader(input_path, *input_format);
-  SQLOG_RETURN_IF_ERROR_R(second_reader_owned.status());
-  log::RecordReader& second_reader = **second_reader_owned;
-  uint64_t second_count = 0;
-  while (true) {
-    SQLOG_RETURN_IF_ERROR_R(second_reader.ReadRecord(&record, &eof));
-    if (eof) break;
-    if (second_count >= raw_count) {
-      return Status::Internal("input grew between streaming passes");
-    }
-    if (!options.use_user_metadata) {
-      record.user.clear();
-      record.session.clear();
-    }
-    if (kept[second_count] != 0) {
-      SQLOG_RETURN_IF_ERROR_R(solver.Feed(record));
-    }
-    ++second_count;
-  }
-  if (second_count != raw_count) {
-    return Status::Internal("input shrank between streaming passes");
-  }
-  SQLOG_RETURN_IF_ERROR_R(solver.Finish());
+  Result<StreamingRunResult> result = RunStreaming(input_path, *clean_writer, *removal_writer);
+  SQLOG_RETURN_IF_ERROR_R(result.status());
   SQLOG_RETURN_IF_ERROR_R(clean_writer->Close());
   SQLOG_RETURN_IF_ERROR_R(removal_writer->Close());
+  return result;
+}
 
-  result.stats.solve = solver.stats();
-  result.stats.final_size = clean_writer->records_written();
-  result.stats.removal_size = removal_writer->records_written();
+Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
+                                                  log::RecordWriter& clean_writer,
+                                                  log::RecordWriter& removal_writer) const {
+  PipelineOptions options = options_;
+  options.streaming = true;  // enforce the streaming-mode restrictions
+  SQLOG_RETURN_IF_ERROR_R(ValidatePipelineOptions(options));
+
+  std::unique_ptr<util::ThreadPool> owned_pool = MakePool(options.num_threads);
+  util::ThreadPool* pool = owned_pool.get();
+
+  auto input_format = log::ResolveReadFormat(options.input_format, input_path);
+  SQLOG_RETURN_IF_ERROR_R(input_format.status());
+
+  // Pass 1 state that pass 2 replays: which raw records dedup kept.
+  StreamingDeduper deduper(options.dedup);
+  std::vector<uint8_t> kept;  // per raw record
+
+  PreCleanSource source;
+  // Pass 1: read + dedup, one parse batch at a time. Run sorts by
+  // (timestamp, seq) before dedup; streaming replays that scan in file
+  // order, so the file must already be sorted — generated and exported
+  // logs are, arbitrary inputs are checked.
+  source.parse = [&](StreamingParser& parser) -> Status {
+    std::unique_ptr<log::RecordReader> reader;
+    log::BinLogReader* bin_reader = nullptr;  // non-null: shaped fast ingest
+    if (*input_format == log::LogFormat::kSqb) {
+      // A binary input carries its template dictionary up front: seed the
+      // parser's persistent cache from the stored recipes, so every
+      // record whose template validated ingests without a full parse.
+      // Record shapes then let the parser skip lexing too (zero-lex path).
+      auto bin = std::make_unique<log::BinLogReader>();
+      SQLOG_RETURN_IF_ERROR(bin->Open(input_path));
+      std::vector<std::unique_ptr<ParseCacheEntry>> seeds;
+      seeds.reserve(bin->dictionary().size());
+      for (const auto& entry : bin->dictionary()) {
+        seeds.push_back(DeserializeStatementRecipe(entry.text, entry.recipe));
+      }
+      parser.SeedCache(std::move(seeds));
+      // Upper bound (dedup may drop records), so the query vector never
+      // realloc-moves during ingest.
+      parser.ReserveQueries(bin->record_count());
+      bin_reader = bin.get();
+      reader = std::move(bin);
+    } else {
+      reader = std::make_unique<log::LogReader>();
+      SQLOG_RETURN_IF_ERROR(reader->Open(input_path));
+    }
+    std::vector<log::LogRecord> batch;
+    batch.reserve(options.batch_size);
+    // Shape pool parallel to batch (`.sqb` only): the live prefix is
+    // overwritten in place so span vectors keep capacity across batches.
+    std::vector<log::RecordShape> shapes;
+    auto feed = [&] {
+      parser.FeedBatch(batch, bin_reader != nullptr ? &shapes : nullptr);
+      // The memory bound: no AST outlives its batch (the solver
+      // re-parses the statements it rewrites).
+      parser.ReleaseAsts();
+      batch.clear();
+    };
+    log::LogRecord record;
+    bool eof = false;
+    std::pair<int64_t, uint64_t> previous;  // (timestamp, seq) of the last record
+    while (true) {
+      SQLOG_RETURN_IF_ERROR(reader->ReadRecord(&record, &eof));
+      if (eof) break;
+      if (!options.use_user_metadata) StripUserMetadata(record);
+      const std::pair<int64_t, uint64_t> order{record.timestamp_ms, record.seq};
+      if (!kept.empty() && order < previous) {
+        return Status::InvalidArgument(StrFormat(
+            "streaming mode requires a (timestamp, seq)-ordered input; record "
+            "%llu (seq %llu) is out of order — run the in-memory pipeline instead",
+            (unsigned long long)kept.size() + 1, (unsigned long long)record.seq));
+      }
+      previous = order;
+      const bool duplicate = deduper.IsDuplicate(record);
+      kept.push_back(duplicate ? 0 : 1);
+      if (duplicate) continue;
+      // Replicate RemoveDuplicates's Renumber(): pre-clean seqs are
+      // positional (parse diagnostics echo them).
+      record.seq = parser.records_fed() + batch.size();
+      if (bin_reader != nullptr) {
+        if (batch.size() == shapes.size()) shapes.emplace_back();
+        shapes[batch.size()].CopyFrom(bin_reader->last_shape());
+      }
+      batch.push_back(std::move(record));
+      if (batch.size() >= options.batch_size) feed();
+    }
+    feed();
+    return Status::OK();
+  };
+  // Pass 2: re-read the input and feed the records pass 1 kept.
+  source.solve = [&](StreamingSolver& solver) -> Status {
+    auto reader = log::LogIo::OpenLogReader(input_path, *input_format);
+    SQLOG_RETURN_IF_ERROR(reader.status());
+    log::LogRecord record;
+    bool eof = false;
+    uint64_t count = 0;
+    while (true) {
+      SQLOG_RETURN_IF_ERROR((*reader)->ReadRecord(&record, &eof));
+      if (eof) break;
+      if (count >= kept.size()) {
+        return Status::Internal("input grew between streaming passes");
+      }
+      if (!options.use_user_metadata) StripUserMetadata(record);
+      if (kept[count++] != 0) SQLOG_RETURN_IF_ERROR(solver.Feed(record));
+    }
+    if (count != kept.size()) {
+      return Status::Internal("input shrank between streaming passes");
+    }
+    return Status::OK();
+  };
+
+  StreamingRunResult result;
+  SQLOG_RETURN_IF_ERROR_R(AnalyzePreClean(options, schema_, pool, source, result));
+  result.stats.original_size = kept.size();
+  result.stats.after_dedup_size = kept.size() - deduper.duplicates_seen();
+  result.stats.duplicates_removed = deduper.duplicates_seen();
+  SQLOG_RETURN_IF_ERROR_R(SolvePreClean(source, result, clean_writer, removal_writer));
   return result;
 }
 

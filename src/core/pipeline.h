@@ -14,6 +14,7 @@
 #include "core/sws.h"
 #include "core/template_store.h"
 #include "log/log_io.h"
+#include "log/log_stream.h"
 #include "log/record.h"
 #include "util/status.h"
 
@@ -50,9 +51,10 @@ struct PipelineOptions {
   /// skip the parser and have their facts rendered from cached template
   /// recipes. Outputs are byte-identical with the cache on or off — this
   /// is purely a performance escape hatch (`sqlog --no-parse-cache`).
-  /// Ignored (treated as false) when the resolved detector set needs
-  /// per-query ASTs (DetectorSet::AnyNeedsAst — legacy custom rules),
-  /// because cache hits never build them.
+  /// Its counters (ParseStats) depend on batch_size and num_threads, not
+  /// on Run vs RunStreaming. Ignored (treated as false) when the resolved
+  /// detector set needs per-query ASTs (DetectorSet::AnyNeedsAst —
+  /// legacy custom rules), because cache hits never build them.
   bool parse_cache = true;
   /// Streaming ingestion (Pipeline::RunStreaming): the raw log is never
   /// held in memory — records are read, deduplicated, and parsed in
@@ -60,13 +62,14 @@ struct PipelineOptions {
   /// incrementally. Memory is below the in-memory path's but still grows
   /// with the log: the ParsedLog keeps one entry per surviving record,
   /// ~1.5 KB each (DESIGN.md § "Streaming & memory model"). Output is
-  /// byte-identical to the in-memory path at any batch size and thread count, but the
-  /// input must already be (timestamp, seq)-ordered and the mode
-  /// supports neither extra_clean_passes nor custom rules (their detect
-  /// hooks read ASTs the streaming parser releases).
+  /// byte-identical to the in-memory path at any batch size and thread
+  /// count, but the input must already be (timestamp, seq)-ordered and
+  /// the mode supports neither extra_clean_passes nor custom rules
+  /// (their detect hooks read ASTs, which streaming drops).
   bool streaming = false;
-  /// Records per streaming batch; larger batches parallelize better,
-  /// smaller ones hold fewer records in flight.
+  /// Records per parse batch, in Run and RunStreaming alike; larger
+  /// batches parallelize better, smaller ones hold fewer records in
+  /// flight.
   size_t batch_size = 4096;
   /// Format of RunStreaming's input (kAuto probes the file magic, so a
   /// renamed file still opens correctly). A binary `.sqb` input seeds
@@ -81,26 +84,8 @@ struct PipelineOptions {
 /// Validates a PipelineOptions bundle; returns the first violation.
 Status ValidatePipelineOptions(const PipelineOptions& options);
 
-/// Everything the Fig. 1 workflow produces.
-struct PipelineResult {
-  log::QueryLog pre_clean;   // after duplicate removal
-  TemplateStore templates;
-  ParsedLog parsed;
-  std::vector<Pattern> patterns;       // sorted by frequency
-  AntipatternReport antipatterns;
-  SwsReport sws;
-  log::QueryLog clean_log;
-  log::QueryLog removal_log;
-  PipelineStats stats;
-
-  /// True when the mined pattern at `pattern_index` is (part of) a
-  /// detected antipattern — drives the before/after views of Fig. 2(a).
-  /// With `solvable_only`, unsolvable CTH candidates do not count.
-  bool PatternIsAntipattern(size_t pattern_index, bool solvable_only = false) const;
-};
-
 /// What Pipeline::RunStreaming returns: the analysis state (templates,
-/// parsed log with ASTs released, patterns, reports) plus the overview
+/// parsed log with ASTs dropped, patterns, reports) plus the overview
 /// statistics. The clean and removal logs live on disk — the streaming
 /// path never materializes them; stats.final_size / stats.removal_size
 /// carry their record counts.
@@ -113,10 +98,27 @@ struct StreamingRunResult {
   PipelineStats stats;
 };
 
+/// Everything the Fig. 1 workflow produces: the same analysis state as
+/// RunStreaming, plus the logs Run keeps in memory.
+struct PipelineResult : StreamingRunResult {
+  log::QueryLog pre_clean;  // after duplicate removal
+  log::QueryLog clean_log;
+  log::QueryLog removal_log;
+
+  /// True when the mined pattern at `pattern_index` is (part of) a
+  /// detected antipattern — drives the before/after views of Fig. 2(a).
+  /// With `solvable_only`, unsolvable CTH candidates do not count.
+  bool PatternIsAntipattern(size_t pattern_index, bool solvable_only = false) const;
+};
+
 /// Runs the full workflow of Fig. 1 over a raw log: delete duplicates →
 /// parse statements → templates → patterns → detect antipatterns →
 /// solve → clean log + statistics. Prefer constructing through
 /// PipelineBuilder, which validates options up front.
+///
+/// Run and RunStreaming are two input adapters over one parse → analyze
+/// → solve core; they differ only in how records are deduplicated,
+/// read and written.
 class Pipeline {
  public:
   explicit Pipeline(PipelineOptions options = {}) : options_(std::move(options)) {}
@@ -127,25 +129,35 @@ class Pipeline {
 
   const PipelineOptions& options() const { return options_; }
 
-  /// Executes the workflow. The input log is not modified. Fails (never
-  /// throws — the repo's Status/Result design rule) on invalid options;
-  /// per-record parse failures do not fail the run, they are counted
-  /// and sampled into PipelineStats::parse_diagnostics.
+  /// Executes the workflow over an in-memory log in any order (it is
+  /// not modified); extra clean passes re-run the core over the clean
+  /// log. Fails (never throws — the repo's Status/Result design rule) on
+  /// invalid options; per-record parse failures do not fail the run,
+  /// they are counted and sampled into PipelineStats::parse_diagnostics.
   Result<PipelineResult> Run(const log::QueryLog& raw_log) const;
 
   /// Executes the workflow without holding the raw or clean log in
-  /// memory (its footprint still grows with the log): reads the raw log from
-  /// `input_path` twice (pass 1 dedups + parses in batches of
-  /// options().batch_size; pass 2 re-reads to solve + write), and emits
-  /// the clean and removal logs straight to `clean_path`/`removal_path`.
-  /// The output files and the returned statistics are byte-identical to
+  /// memory (its footprint still grows with the log): reads the raw log
+  /// from `input_path` twice (pass 1 dedups + parses in batches of
+  /// options().batch_size and drops each batch's ASTs; pass 2 re-reads
+  /// to solve) and emits the clean and removal logs straight to
+  /// `clean_path`/`removal_path`, whose formats resolve per path. The
+  /// output files and the returned statistics are byte-identical to
   /// Run() + LogIo::WriteFile of the same input at any batch size and
   /// thread count. The input file must be (timestamp, seq)-ordered and
   /// must not change between the passes. Streaming-mode restrictions
-  /// (no extra_clean_passes, no custom rules) are validated up front.
+  /// (no extra_clean_passes, no custom rules) are validated up front,
+  /// before the outputs are created.
   Result<StreamingRunResult> RunStreaming(const std::string& input_path,
                                           const std::string& clean_path,
                                           const std::string& removal_path) const;
+
+  /// RunStreaming into caller-owned writers, which must be open and
+  /// renumbering (seq = output position); the caller closes them. A
+  /// log::DiscardingWriter keeps the statistics without any output.
+  Result<StreamingRunResult> RunStreaming(const std::string& input_path,
+                                          log::RecordWriter& clean_writer,
+                                          log::RecordWriter& removal_writer) const;
 
  private:
   PipelineOptions options_;

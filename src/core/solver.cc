@@ -235,35 +235,12 @@ Result<std::string> RewriteSnc(const ParsedQuery& query) {
   return PrintRewritten(*stmt);
 }
 
-namespace {
-
-/// In-memory RecordWriter: appends to a QueryLog with seq = output
-/// position, as a renumbering LogWriter writes it.
-class QueryLogWriter final : public log::RecordWriter {
- public:
-  explicit QueryLogWriter(log::QueryLog& out) : out_(out) {}
-
-  Status Open(const std::string& /*path*/) override { return Status::OK(); }
-  Status Append(const log::LogRecord& record) override {
-    out_.Append(record);
-    out_.records().back().seq = out_.size() - 1;
-    return Status::OK();
-  }
-  Status Close() override { return Status::OK(); }
-  uint64_t records_written() const override { return out_.size(); }
-
- private:
-  log::QueryLog& out_;
-};
-
-}  // namespace
-
 SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, const ParsedLog& parsed,
                                const AntipatternReport& report,
                                const std::vector<CustomRule>& /*custom_rules*/) {
   SolveOutcome outcome;
-  QueryLogWriter clean_writer(outcome.clean_log);
-  QueryLogWriter removal_writer(outcome.removal_log);
+  log::QueryLogWriter clean_writer(outcome.clean_log);
+  log::QueryLogWriter removal_writer(outcome.removal_log);
   StreamingSolver solver(parsed, report, clean_writer, removal_writer);
   for (const log::LogRecord& record : pre_clean.records()) {
     outcome.status = solver.Feed(record);
@@ -328,7 +305,7 @@ Status StreamingSolver::Feed(const log::LogRecord& record) {
   const ParsedQuery& query = parsed_.queries[q];
 
   // Solvable-instance members without an AST (parse-cache hits, ASTs the
-  // streaming parser released) get a re-parsed copy. The parser is
+  // streaming pipeline dropped) get a re-parsed copy. The parser is
   // deterministic, so this is the AST an uncached parse rewrites from.
   std::vector<uint32_t> completed;
   auto need_it = ast_needs_.find(q);

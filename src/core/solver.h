@@ -76,7 +76,7 @@ SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, const ParsedLog& 
 /// RecordWriters (either format).
 ///
 /// Rewriting needs member ASTs. Members whose AST is null (parse-cache
-/// hits, or ASTs the streaming parser released) are re-parsed as they
+/// hits, or ASTs the streaming pipeline dropped) are re-parsed as they
 /// stream past into solver-owned copies; the parser is deterministic, so
 /// the rewrites match an uncached parse. Copies are dropped once every
 /// instance listing the member resolves; `parsed` is never modified.

@@ -78,14 +78,13 @@ struct ParseShard {
 constexpr uint64_t kUnmapped = ~uint64_t{0};
 
 /// Classifies + parses the records at [begin, end) of `records` into a
-/// shard; record_index values are shard-relative — MergeShards rebases
-/// them by its `index_base` (the records' position in the whole
-/// pre-clean log, used by the batch path).
+/// shard; record_index values are batch positions — FeedBatch rebases
+/// them to pre-clean positions.
 ///
 /// With `cache_options.enabled`, statements are lexed and fingerprinted
 /// first; repeats of a known template skip the parser and have their
 /// facts rendered from the cached recipes. `shared_cache` (nullable) is
-/// the streaming parser's persistent cache — read-only here, it is
+/// the StreamingParser's persistent cache — read-only here, it is
 /// frozen while shards run. Every outcome (queries, counts, diagnostics)
 /// is byte-identical to the uncached path.
 ///
@@ -424,46 +423,15 @@ void BuildUserStreams(const TemplateStore& store, ParsedLog& parsed,
   }
 }
 
-/// Shard count for parsing `count` records on `pool` (ParseLog's
-/// historical formula — reused by the batch path for byte-stability).
-size_t ParseShardCount(util::ThreadPool* pool, size_t count) {
-  size_t num_shards = 1;
-  if (pool != nullptr && pool->size() > 0) {
-    num_shards = std::min(count, 4 * (pool->size() + 1));
-    if (num_shards == 0) num_shards = 1;
-  }
-  return num_shards;
-}
-
 }  // namespace
 
 ParsedLog ParseLog(const log::QueryLog& log, TemplateStore& store,
                    util::ThreadPool* pool, size_t max_diagnostics,
                    const ParseCacheOptions& cache_options) {
-  ParsedLog parsed;
-  parsed.queries.reserve(log.size());
-
-  const log::LogRecord* records = log.records().data();
-  size_t num_shards = ParseShardCount(pool, log.size());
-
-  // Map: parse + skeletonize each contiguous record shard into a local
-  // TemplateStore (the expensive part — runs in parallel).
-  std::vector<ParseShard> shards = util::MapShards<ParseShard>(
-      num_shards > 1 ? pool : nullptr, log.size(), num_shards,
-      [&](size_t, size_t begin, size_t end) {
-        return ParseShardRange(records, begin, end, max_diagnostics,
-                               cache_options, /*shared_cache=*/nullptr,
-                               /*shapes=*/nullptr, /*seed_table=*/nullptr);
-      });
-
-  // Reduce: merge shards in order, then build the per-user streams.
-  MergeShards(shards, store, max_diagnostics, parsed, pool);
-  for (const ParseShard& shard : shards) {
-    parsed.parse_stats.templates_cached += shard.cache.size();
-    parsed.parse_stats.cache_bytes += shard.cache.bytes();
-  }
-  BuildUserStreams(store, parsed, pool);
-  return parsed;
+  StreamingParser parser(store, max_diagnostics, pool, cache_options);
+  parser.ReserveQueries(log.size());
+  parser.FeedBatch(log.records());
+  return parser.Finish();
 }
 
 StreamingParser::StreamingParser(TemplateStore& store, size_t max_diagnostics,
@@ -497,7 +465,7 @@ void StreamingParser::SeedCache(std::vector<std::unique_ptr<ParseCacheEntry>> en
 
 void StreamingParser::ReserveQueries(size_t n) { parsed_.queries.reserve(n); }
 
-void StreamingParser::FeedBatch(const std::vector<log::LogRecord>& records,
+void StreamingParser::FeedBatch(std::span<const log::LogRecord> records,
                                 const std::vector<log::RecordShape>* shapes) {
   // Callers keep a reusable pool, so the vector may run longer than the
   // batch; only the first records.size() shapes are consulted.
@@ -505,7 +473,10 @@ void StreamingParser::FeedBatch(const std::vector<log::LogRecord>& records,
   if (records.empty()) return;
   const size_t index_base = records_fed_;
   const log::LogRecord* data = records.data();
-  size_t num_shards = ParseShardCount(pool_, records.size());
+  // Four shards per thread (the pool's workers plus the caller).
+  const size_t num_shards = pool_ != nullptr && pool_->size() > 0
+                                ? std::min(records.size(), 4 * (pool_->size() + 1))
+                                : 1;
 
   // The persistent cache is frozen (read-only) while shards are in
   // flight; templates discovered this batch land in the shard-local
@@ -533,7 +504,6 @@ void StreamingParser::FeedBatch(const std::vector<log::LogRecord>& records,
         return shard;
       });
 
-  size_t first_new = parsed_.queries.size();
   MergeShards(shards, store_, max_diagnostics_, parsed_, pool_);
 
   // Promote shard-discovered templates into the persistent cache in
@@ -550,13 +520,13 @@ void StreamingParser::FeedBatch(const std::vector<log::LogRecord>& records,
     }
   }
 
-  // Bound memory: the AST is only needed until the template is interned
-  // (detection works off the retained clause facts). The streaming
-  // solver re-parses the statements it rewrites.
-  for (size_t i = first_new; i < parsed_.queries.size(); ++i) {
-    parsed_.queries[i].facts.ast.reset();
-  }
   records_fed_ += records.size();
+}
+
+void StreamingParser::ReleaseAsts() {
+  for (; asts_released_ < parsed_.queries.size(); ++asts_released_) {
+    parsed_.queries[asts_released_].facts.ast.reset();
+  }
 }
 
 ParsedLog StreamingParser::Finish() {

@@ -2,6 +2,7 @@
 #define SQLOG_CORE_TEMPLATE_STORE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -112,42 +113,39 @@ class TemplateStore {
   std::unordered_map<std::string, uint32_t> user_ids_ SQLOG_SHARD_LOCAL;
 };
 
-/// Runs the parse step over a (deduplicated) log: classifies statements,
-/// drops non-SELECTs (counting syntax errors as diagnostics, capped at
-/// `max_diagnostics`), analyzes the rest, interns templates, and builds
-/// per-user time-ordered streams.
+/// Runs the parse step over a whole (deduplicated) log in one call:
+/// classifies statements, drops non-SELECTs (counting syntax errors as
+/// diagnostics, capped at `max_diagnostics`), analyzes the rest, interns
+/// templates, and builds per-user time-ordered streams.
 ///
-/// With a non-null `pool`, parse + skeletonize is sharded over
-/// contiguous record ranges into per-shard TemplateStores, then merged
-/// into `store` by canonical skeleton key in shard order — which visits
-/// queries in exactly the serial order, so template ids, user ids, and
-/// every statistic are byte-identical to the serial path.
-/// With `cache_options.enabled`, each shard carries a template
-/// fingerprint cache: statements whose normalized token stream was seen
-/// before skip the parser entirely and have their facts rendered from
-/// the cached template's recipes. The output is byte-identical either
-/// way; only `parse_stats` differs.
+/// A one-batch front over StreamingParser (one FeedBatch, then Finish),
+/// so it shares the parser's sharding, cache and AST policy; the
+/// pipeline itself feeds a StreamingParser batch by batch.
 ParsedLog ParseLog(const log::QueryLog& log, TemplateStore& store,
                    util::ThreadPool* pool = nullptr, size_t max_diagnostics = 0,
                    const ParseCacheOptions& cache_options = {});
 
-/// Batch-incremental flavour of ParseLog for the streaming ingestion
-/// path: feed the deduplicated records batch by batch (in pre-clean
-/// order), then Finish(). Produces the identical ParsedLog/TemplateStore
-/// a single ParseLog call over the concatenated records would — template
-/// ids, user ids, first_query indices, diagnostics, and user streams are
-/// all byte-stable against the in-memory path at any batch size.
+/// The parse step (Sec. 5.3), fed the deduplicated records batch by
+/// batch (in pre-clean order), then Finish(). Produces the same
+/// ParsedLog/TemplateStore at any batch size and thread count —
+/// template ids, user ids, first_query indices, diagnostics, and user
+/// streams are byte-stable; only `parse_stats` depends on the batching.
 ///
-/// To keep peak memory bounded by batch size, each query's `facts.ast`
-/// is released once its template is interned — the detector and miner
-/// never touch ASTs, and the streaming solver re-parses the few
-/// statements it must rewrite. Everything else in QueryFacts (clause
-/// texts, predicates) is retained, so detection is unaffected.
+/// With a non-null `pool`, each batch's parse + skeletonize is sharded
+/// over contiguous record ranges into per-shard TemplateStores, then
+/// merged by canonical skeleton key in shard order — which visits
+/// queries in exactly the serial order. With `cache_options.enabled`,
+/// statements whose normalized token stream was seen before skip the
+/// parser and have their facts rendered from the cached template's
+/// recipes; such hits carry no AST, while full parses (cache misses,
+/// uncacheable templates, the cache off) keep theirs. A caller that
+/// must bound memory drops the ASTs with ReleaseAsts() — the detector
+/// and miner never touch them, and the solver re-parses the few
+/// statements it rewrites.
 class StreamingParser {
  public:
-  /// Diagnostics are capped at `max_diagnostics` like ParseLog. With a
-  /// non-null `pool`, each batch is parsed with the same sharded
-  /// map-reduce as ParseLog. The parse cache persists across batches:
+  /// Parse failures are counted in full but kept as diagnostics only up
+  /// to `max_diagnostics`. The parse cache persists across batches:
   /// shards read it concurrently (it is frozen while they run) and the
   /// templates they discover are merged back in deterministic shard
   /// order after each batch.
@@ -181,8 +179,13 @@ class StreamingParser {
   /// uncacheable templates, open diagnostics quota) falls through to the
   /// regular cached path, so results are byte-identical with or without
   /// shapes at any thread count.
-  void FeedBatch(const std::vector<log::LogRecord>& records,
+  void FeedBatch(std::span<const log::LogRecord> records,
                  const std::vector<log::RecordShape>* shapes = nullptr);
+
+  /// Drops the ASTs of every query parsed so far; the streaming pipeline
+  /// calls it after each batch so memory does not grow with them. Costs
+  /// O(queries parsed since the previous call).
+  void ReleaseAsts();
 
   /// Capacity hint: reserve for `n` total queries up front. Readers that
   /// know the record count (`.sqb` carries it in the footer) use this to
@@ -210,6 +213,7 @@ class StreamingParser {
   std::vector<const ParseCacheEntry*> seed_by_ordinal_ SQLOG_SHARD_LOCAL;
   ParsedLog parsed_ SQLOG_SHARD_LOCAL;
   size_t records_fed_ SQLOG_SHARD_LOCAL = 0;
+  size_t asts_released_ SQLOG_SHARD_LOCAL = 0;  // queries whose AST is dropped
 };
 
 }  // namespace sqlog::core

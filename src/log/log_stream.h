@@ -74,6 +74,41 @@ class RecordWriter {
   virtual uint64_t records_written() const = 0;
 };
 
+/// In-memory RecordWriter: appends to a QueryLog with seq = output
+/// position, as a renumbering LogWriter writes it.
+class QueryLogWriter final : public RecordWriter {
+ public:
+  explicit QueryLogWriter(QueryLog& out) : out_(out) {}
+
+  Status Open(const std::string& /*path*/) override { return Status::OK(); }
+  Status Append(const LogRecord& record) override {
+    out_.Append(record);
+    out_.records().back().seq = out_.size() - 1;
+    return Status::OK();
+  }
+  Status Close() override { return Status::OK(); }
+  uint64_t records_written() const override { return out_.size(); }
+
+ private:
+  QueryLog& out_ SQLOG_SHARD_LOCAL;
+};
+
+/// RecordWriter that counts its records and keeps none: for runs whose
+/// statistics are wanted but whose output logs are not.
+class DiscardingWriter final : public RecordWriter {
+ public:
+  Status Open(const std::string& /*path*/) override { return Status::OK(); }
+  Status Append(const LogRecord& /*record*/) override {
+    ++records_written_;
+    return Status::OK();
+  }
+  Status Close() override { return Status::OK(); }
+  uint64_t records_written() const override { return records_written_; }
+
+ private:
+  uint64_t records_written_ SQLOG_SHARD_LOCAL = 0;
+};
+
 /// Options for LogReader.
 struct LogReaderOptions {
   /// Records per ReadBatch call.

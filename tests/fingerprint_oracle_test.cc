@@ -135,8 +135,8 @@ TEST(FingerprintOracleTest, StreamingCachedParseMatchesAtAnyBatchSize) {
   core::TemplateStore reference_store;
   core::ParsedLog reference =
       core::ParseLog(raw, reference_store, nullptr, /*max_diagnostics=*/16, off);
-  // The streaming parser releases ASTs and therefore compares through
-  // the same AST-free digest.
+  // Cache hits carry no AST, so every run compares through the same
+  // AST-free digest.
   const std::string want = Digest(reference_store, reference);
 
   util::ThreadPool pool(8);

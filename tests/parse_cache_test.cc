@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,32 @@ TEST(ParseCacheTest, RepeatedTemplateHitsAndRendersIdenticalFacts) {
   ASSERT_EQ(cached.parsed.queries[1].facts.predicates.size(), 1u);
   EXPECT_EQ(cached.parsed.queries[1].facts.predicates[0].values,
             std::vector<std::string>{"2"});
+}
+
+TEST(ParseCacheTest, StreamingParserKeepsMissAstsAcrossBatchesUntilReleased) {
+  auto log = MakeLog({
+      "SELECT a FROM t WHERE x = 1",
+      "SELECT a FROM t WHERE x = 2",  // hit on the entry batch 1 built
+      "SELECT b FROM u",
+  });
+  const std::vector<log::LogRecord>& records = log.records();
+  TemplateStore store;
+  StreamingParser parser(store);
+  parser.FeedBatch(std::span(records).first(1));
+  parser.FeedBatch(std::span(records).subspan(1));
+  ParsedLog parsed = parser.Finish();
+  ASSERT_EQ(parsed.queries.size(), 3u);
+  EXPECT_NE(parsed.queries[0].facts.ast, nullptr);  // miss, fed a batch earlier
+  EXPECT_EQ(parsed.queries[1].facts.ast, nullptr);  // hit
+  EXPECT_NE(parsed.queries[2].facts.ast, nullptr);  // miss
+
+  TemplateStore released_store;
+  StreamingParser released(released_store);
+  released.FeedBatch(records);
+  released.ReleaseAsts();
+  for (const ParsedQuery& query : released.Finish().queries) {
+    EXPECT_EQ(query.facts.ast, nullptr) << "record " << query.record_index;
+  }
 }
 
 TEST(ParseCacheTest, StringEscapesNegativeNumbersAndVariablesRenderExactly) {

@@ -131,6 +131,8 @@ std::string ReadAll(const std::string& path) {
 }
 
 TEST(PipelineGoldenTest, StreamingIsByteIdenticalAtAnyBatchSizeAndThreadCount) {
+  // Both entry points, Run and RunStreaming, on every batch × thread ×
+  // parse-cache cell.
   const log::QueryLog raw = FixedLog();
   const catalog::Schema schema = catalog::MakeSkyServerSchema();
 
@@ -169,6 +171,14 @@ TEST(PipelineGoldenTest, StreamingIsByteIdenticalAtAnyBatchSizeAndThreadCount) {
         EXPECT_EQ(ReadAll(removal_path), want_removal);
         std::remove(clean_path.c_str());
         std::remove(removal_path.c_str());
+
+        // Run shares the core and batch_size (the streaming flag only
+        // adds validation), so it too matches at every cell.
+        auto in_memory = pipeline->Run(raw);
+        ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+        EXPECT_EQ(in_memory->stats.ToTable(), want_table);
+        EXPECT_EQ(log::LogIo::ToCsv(in_memory->clean_log), want_clean);
+        EXPECT_EQ(log::LogIo::ToCsv(in_memory->removal_log), want_removal);
       }
     }
   }

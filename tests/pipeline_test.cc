@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "catalog/schema.h"
 #include "core/rules.h"
+#include "log/generator.h"
 #include "log/log_io.h"
+#include "log/log_stream.h"
 #include "util/string_util.h"
 
 namespace sqlog::core {
@@ -300,6 +304,67 @@ TEST(PipelineTest, ParseCacheOffKeepsEveryAstThroughSolving) {
   for (const auto& query : result.parsed.queries) {
     EXPECT_NE(query.facts.ast, nullptr) << "record " << query.record_index;
   }
+}
+
+TEST(PipelineTest, StreamingDropsEveryAstEvenWithTheParseCacheOff) {
+  // The streaming adapter bounds memory by dropping each batch's ASTs;
+  // the solver re-parses what it rewrites, so solving still happens.
+  const std::string input = ::testing::TempDir() + "/ast_policy_input.csv";
+  ASSERT_TRUE(log::LogIo::WriteFile(CraftedLog(), input).ok());
+  PipelineOptions options;
+  options.parse_cache = false;
+  options.miner.min_support = 1;
+  log::DiscardingWriter clean, removal;
+  auto run = Pipeline(options).RunStreaming(input, clean, removal);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_GT(run->stats.solve.instances_solved, 0u);
+  EXPECT_EQ(clean.records_written(), run->stats.final_size);
+  ASSERT_FALSE(run->parsed.queries.empty());
+  for (const auto& query : run->parsed.queries) {
+    EXPECT_EQ(query.facts.ast, nullptr) << "record " << query.record_index;
+  }
+  std::remove(input.c_str());
+}
+
+TEST(PipelineTest, RunAndRunStreamingReportTheSameCounters) {
+  // Both entry points run one parse → analyze → solve core over the same
+  // pre-clean batches, so even the batching-dependent parse-cache
+  // counters agree — at every thread count and batch size.
+  log::GeneratorConfig config;
+  config.seed = 20181029;
+  config.target_statements = 3000;
+  const log::QueryLog raw = log::GenerateLog(config);
+  const std::string input = ::testing::TempDir() + "/twin_counters_input.csv";
+  ASSERT_TRUE(log::LogIo::WriteFile(raw, input).ok());
+  static const catalog::Schema schema = catalog::MakeSkyServerSchema();
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{4096}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " batch=" + std::to_string(batch_size));
+      auto pipeline = PipelineBuilder()
+                          .WithSchema(&schema)
+                          .NumThreads(threads)
+                          .BatchSize(batch_size)
+                          .Build();
+      ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+      auto in_memory = pipeline->Run(raw);
+      ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+      log::DiscardingWriter clean, removal;
+      auto streamed = pipeline->RunStreaming(input, clean, removal);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+
+      EXPECT_EQ(in_memory->stats.ToTable(), streamed->stats.ToTable());
+      const ParseStats& a = in_memory->parsed.parse_stats;
+      const ParseStats& b = streamed->parsed.parse_stats;
+      EXPECT_GT(a.cache_hits, 0u);
+      EXPECT_EQ(a.full_parses, b.full_parses);
+      EXPECT_EQ(a.cache_hits, b.cache_hits);
+      EXPECT_EQ(a.cache_misses, b.cache_misses);
+      EXPECT_EQ(a.templates_cached, b.templates_cached);
+    }
+  }
+  std::remove(input.c_str());
 }
 
 // --- RunStreaming's up-front rejections -------------------------------------

@@ -124,10 +124,12 @@ Result<core::PipelineResult> RunPipeline(const log::QueryLog& raw,
   return pipeline->Run(raw);
 }
 
+/// Runs the streaming pipeline into either two output paths or two
+/// open RecordWriters (the two RunStreaming overloads).
+template <typename Output>
 Result<core::StreamingRunResult> RunStreamingPipeline(const StreamFlags& flags,
                                                       const std::string& input,
-                                                      const std::string& clean_path,
-                                                      const std::string& removal_path) {
+                                                      Output& clean, Output& removal) {
   static catalog::Schema schema = catalog::MakeSkyServerSchema();
   auto pipeline = core::PipelineBuilder()
                       .WithSchema(&schema)
@@ -139,7 +141,7 @@ Result<core::StreamingRunResult> RunStreamingPipeline(const StreamFlags& flags,
                       .OutputFormat(flags.out_format)
                       .Build();
   SQLOG_RETURN_IF_ERROR_R(pipeline.status());
-  return pipeline->RunStreaming(input, clean_path, removal_path);
+  return pipeline->RunStreaming(input, clean, removal);
 }
 
 int CmdGenerate(int argc, char** argv) {
@@ -286,14 +288,10 @@ int CmdStats(int argc, char** argv) {
   if (argc < 0) return 2;
   if (argc < 1) return Usage();
   if (flags.streaming) {
-    // stats has no output files of its own; the streaming pass still
-    // writes the clean/removal logs, so park them next to the input and
-    // remove them afterwards.
-    std::string clean_path = std::string(argv[0]) + ".stats-tmp.clean.csv";
-    std::string removal_path = std::string(argv[0]) + ".stats-tmp.removal.csv";
-    auto run = RunStreamingPipeline(flags, argv[0], clean_path, removal_path);
-    std::remove(clean_path.c_str());
-    std::remove(removal_path.c_str());
+    // stats has no output files: the clean/removal records are counted
+    // and dropped, so no file is created or touched.
+    log::DiscardingWriter clean, removal;
+    auto run = RunStreamingPipeline(flags, argv[0], clean, removal);
     if (!run.ok()) {
       std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
       return 1;
