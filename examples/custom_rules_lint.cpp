@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "catalog/schema.h"
 #include "core/pipeline.h"
@@ -49,33 +50,28 @@ int main(int argc, char** argv) {
               result.parsed.queries.size());
   std::printf("%-22s %10s %12s %8s\n", "rule", "hits", "distinct", "users");
 
+  // Each rule runs as the adapter detector "custom-rule-<r>".
+  const sqlog::core::AntipatternReport& report = result.antipatterns;
+  const sqlog::core::DetectorSet& detectors = *report.detectors;
   for (size_t r = 0; r < options.detector.custom_rules.size(); ++r) {
-    uint64_t hits = 0;
-    uint64_t distinct = 0;
+    const uint32_t d =
+        static_cast<uint32_t>(detectors.IndexOf("custom-rule-" + std::to_string(r)));
     size_t users = 0;
-    for (const auto& d : result.antipatterns.distinct) {
-      if (d.type != sqlog::core::AntipatternType::kCustom) continue;
-      if (d.custom_rule != static_cast<int>(r)) continue;
-      hits += d.query_count;
-      ++distinct;
-      users += d.user_popularity();
+    for (const auto& group : report.distinct) {
+      if (group.detector == d) users += group.user_popularity();
     }
-    std::printf("%-22s %10llu %12llu %8zu\n",
-                options.detector.custom_rules[r].name.c_str(),
-                (unsigned long long)hits, (unsigned long long)distinct, users);
+    std::printf("%-22s %10llu %12llu %8zu\n", detectors.info(d).display_name.c_str(),
+                (unsigned long long)report.QueriesOf(d),
+                (unsigned long long)report.DistinctOf(d), users);
   }
 
+  auto instances_of = [&](const char* id) -> unsigned long long {
+    const int d = detectors.IndexOf(id);
+    return d < 0 ? 0 : report.InstancesOf(static_cast<uint32_t>(d));
+  };
   std::printf("\nBuilt-in detectors still ran alongside: %llu Stifle instances, "
               "%llu CTH candidates, %llu SNC.\n",
-              (unsigned long long)(result.antipatterns.CountInstances(
-                                       sqlog::core::AntipatternType::kDwStifle) +
-                                   result.antipatterns.CountInstances(
-                                       sqlog::core::AntipatternType::kDsStifle) +
-                                   result.antipatterns.CountInstances(
-                                       sqlog::core::AntipatternType::kDfStifle)),
-              (unsigned long long)result.antipatterns.CountInstances(
-                  sqlog::core::AntipatternType::kCthCandidate),
-              (unsigned long long)result.antipatterns.CountInstances(
-                  sqlog::core::AntipatternType::kSnc));
+              instances_of("dw-stifle") + instances_of("ds-stifle") + instances_of("df-stifle"),
+              instances_of("cth"), instances_of("snc"));
   return 0;
 }

@@ -126,6 +126,29 @@ stats_after=$(cd "$stats_dir" && ls -A | xargs sha256sum)
 }
 rm -r "$stats_dir"
 
+# 3b3. Numeric arguments parse strictly: a negative or partly numeric
+#      value exits 2 with an `error:` line before any file is created.
+step "malformed numeric CLI arguments are rejected up front"
+args_dir=$(mktemp -d /tmp/sqlog_smoke_clean.args.XXXXXX)
+cp "$smoke_log" "$args_dir/g.csv"
+args_before=$(cd "$args_dir" && ls -A)
+sqlog_bin="$PWD/build/tools/sqlog"
+for args in "clean --batch-size=-1 g.csv o" "clean --batch-size=12abc g.csv o" \
+  "generate -5 x.csv"; do
+  status=0
+  # shellcheck disable=SC2086  # $args is a word list on purpose
+  (cd "$args_dir" && "$sqlog_bin" $args) >/dev/null 2>"$args_dir.err" || status=$?
+  [[ $status -eq 2 ]] && grep -q '^error:' "$args_dir.err" || {
+    echo "sqlog $args: exit $status, stderr: $(cat "$args_dir.err")" >&2
+    exit 1
+  }
+  [[ "$(cd "$args_dir" && ls -A)" == "$args_before" ]] || {
+    echo "sqlog $args changed the files in $args_dir" >&2
+    exit 1
+  }
+done
+rm -r "$args_dir" "$args_dir.err"
+
 # 3c. Binary clean *output*: `clean --out-format=sqb` must produce `.sqb`
 #     logs that convert back byte-identical to the CSV clean outputs, in
 #     both the in-memory and streaming pipelines.

@@ -13,35 +13,20 @@
 
 namespace sqlog::core {
 
-// AntipatternType, AntipatternInstance, and DetectorOptions live in
-// core/detector.h together with the plugin interface; this header keeps
-// the detection driver and the report types.
-
-/// Returns the display name of the built-in detector behind a legacy
-/// type ("DW-Stifle", ...), looked up from the registry metadata.
-/// Deprecated: prefer DetectorSet::info(instance.detector).display_name,
-/// which also covers detectors beyond the paper's set.
-const char* AntipatternTypeName(AntipatternType type);
-
-/// True for legacy types whose built-in detector declares a solving
-/// rule (CTH has none). Deprecated: prefer DetectorSet::Solvable.
-bool IsSolvable(AntipatternType type);
+// AntipatternInstance and DetectorOptions live in core/detector.h
+// together with the plugin interface; this header keeps the detection
+// driver and the report types.
 
 /// Aggregation of instances sharing a template signature — the unit the
 /// paper's "count of distinct DW-Stifle" statistics and Table 6 use.
 struct DistinctAntipattern {
   /// Index into the DetectorSet the report was produced with.
   uint32_t detector = 0;
-  /// Legacy class of the producing detector. Deprecated: prefer
-  /// `detector`.
-  AntipatternType type = AntipatternType::kDwStifle;
   std::vector<uint64_t> template_ids;  // distinct templates, first-seen order
   uint64_t instance_count = 0;
   uint64_t query_count = 0;
   std::unordered_set<uint32_t> users;
   size_t sample_query = 0;  // a ParsedQuery index from some instance
-  /// Deprecated compat field for kCustom aggregations.
-  int custom_rule = -1;
 
   size_t user_popularity() const { return users.size(); }
 };
@@ -59,12 +44,6 @@ struct AntipatternReport {
   /// a report without one). Kept on the report so per-instance metadata
   /// lookups never dangle.
   std::shared_ptr<const DetectorSet> detectors;
-
-  /// Legacy-type counters (deprecated: prefer the per-detector
-  /// overloads below, which distinguish detectors sharing kCustom).
-  uint64_t CountInstances(AntipatternType type) const;
-  uint64_t CountQueries(AntipatternType type) const;
-  uint64_t CountDistinct(AntipatternType type) const;
 
   /// Per-detector counters over the set index.
   uint64_t InstancesOf(uint32_t detector) const;
@@ -86,14 +65,6 @@ AntipatternReport DetectAntipatterns(const ParsedLog& parsed, const TemplateStor
                                      const catalog::Schema* schema,
                                      const DetectorOptions& options,
                                      std::shared_ptr<const DetectorSet> detectors,
-                                     util::ThreadPool* pool = nullptr);
-
-/// Deprecated compat overload: resolves the detector set from `options`
-/// itself (options.detector_ids must be valid — the default empty list
-/// always is).
-AntipatternReport DetectAntipatterns(const ParsedLog& parsed, const TemplateStore& store,
-                                     const catalog::Schema* schema,
-                                     const DetectorOptions& options,
                                      util::ThreadPool* pool = nullptr);
 
 /// True when `query` can be a Stifle member (Def. 11 per-query axioms):

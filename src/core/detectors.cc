@@ -41,14 +41,16 @@ std::string PrintCanonical(const sql::SelectStatement& stmt) {
 /// DW/DS/DF-Stifle (Defs. 12-14), parameterized by class.
 class StifleDetector final : public Detector {
  public:
-  explicit StifleDetector(AntipatternType type) : type_(type) {
-    switch (type) {
-      case AntipatternType::kDwStifle:
+  enum class Kind { kDw, kDs, kDf };
+
+  explicit StifleDetector(Kind kind) : kind_(kind) {
+    switch (kind) {
+      case Kind::kDw:
         info_.id = "dw-stifle";
         info_.display_name = "DW-Stifle";
         info_.description = "same SELECT/FROM repeated with different WHERE constants";
         break;
-      case AntipatternType::kDsStifle:
+      case Kind::kDs:
         info_.id = "ds-stifle";
         info_.display_name = "DS-Stifle";
         info_.description = "same FROM/WHERE repeated with different SELECT lists";
@@ -62,7 +64,6 @@ class StifleDetector final : public Detector {
     info_.scope = DetectorScope::kSequence;
     info_.solvable = true;
     info_.scan_group = "stifle";
-    info_.legacy_type = type;
   }
 
   const DetectorInfo& info() const override { return info_; }
@@ -78,12 +79,12 @@ class StifleDetector final : public Detector {
     const sql::QueryFacts& f1 = first.facts;
     const sql::QueryFacts& f2 = second.facts;
     bool matches = false;
-    switch (type_) {
-      case AntipatternType::kDwStifle:
+    switch (kind_) {
+      case Kind::kDw:
         matches = f1.sc == f2.sc && f1.fc == f2.fc && f1.tmpl.swc == f2.tmpl.swc &&
                   f1.wc != f2.wc;
         break;
-      case AntipatternType::kDsStifle:
+      case Kind::kDs:
         matches = f1.fc == f2.fc && f1.wc == f2.wc && f1.tmpl.ssc != f2.tmpl.ssc;
         break;
       default:
@@ -103,12 +104,12 @@ class StifleDetector final : public Detector {
       if (!StifleEligible(next, ctx.schema, ctx.options.require_key_attribute)) break;
       const sql::QueryFacts& fn = next.facts;
       bool extends = false;
-      switch (type_) {
-        case AntipatternType::kDwStifle:
+      switch (kind_) {
+        case Kind::kDw:
           extends = fn.sc == f1.sc && fn.fc == f1.fc && fn.tmpl.swc == f1.tmpl.swc &&
                     seen_wc.insert(fn.wc).second;
           break;
-        case AntipatternType::kDsStifle:
+        case Kind::kDs:
           extends = fn.fc == f1.fc && fn.wc == f1.wc && seen_ssc.insert(fn.tmpl.ssc).second;
           break;
         default:
@@ -125,15 +126,15 @@ class StifleDetector final : public Detector {
   Result<std::string> Rewrite(const AntipatternInstance& instance,
                               const std::vector<const ParsedQuery*>& members) const override {
     (void)instance;
-    switch (type_) {
-      case AntipatternType::kDwStifle: return RewriteDwStifle(members);
-      case AntipatternType::kDsStifle: return RewriteDsStifle(members);
+    switch (kind_) {
+      case Kind::kDw: return RewriteDwStifle(members);
+      case Kind::kDs: return RewriteDsStifle(members);
       default: return RewriteDfStifle(members);
     }
   }
 
  private:
-  AntipatternType type_;
+  Kind kind_;
   DetectorInfo info_;
 };
 
@@ -147,7 +148,6 @@ class CthDetector final : public Detector {
     info_.description = "dependent follow-up chain re-filtering on exposed attributes";
     info_.scope = DetectorScope::kSequence;
     info_.solvable = false;
-    info_.legacy_type = AntipatternType::kCthCandidate;
     info_.min_support_filtered = true;
   }
 
@@ -211,7 +211,6 @@ class SncDetector final : public Detector {
     info_.display_name = "SNC";
     info_.description = "searching nullable columns with = NULL / <> NULL";
     info_.solvable = true;
-    info_.legacy_type = AntipatternType::kSnc;
   }
 
   const DetectorInfo& info() const override { return info_; }
@@ -521,7 +520,6 @@ class CustomRuleDetector final : public Detector {
     info_.display_name = rule.name.empty() ? info_.id : rule.name;
     info_.description = "legacy CustomRule adapter";
     info_.solvable = rule.solvable();
-    info_.custom_rule = index;
     // Detect hooks receive the full ParsedQuery and may read facts.ast,
     // which the parse cache and the streaming parser do not provide.
     info_.needs_ast = true;
@@ -555,9 +553,9 @@ void RegisterBuiltinDetectors(DetectorRegistry& registry) {
     (void)status;
     assert(status.ok() && "built-in detector registration must not fail");
   };
-  must(registry.Register(std::make_shared<StifleDetector>(AntipatternType::kDwStifle)));
-  must(registry.Register(std::make_shared<StifleDetector>(AntipatternType::kDsStifle)));
-  must(registry.Register(std::make_shared<StifleDetector>(AntipatternType::kDfStifle)));
+  must(registry.Register(std::make_shared<StifleDetector>(StifleDetector::Kind::kDw)));
+  must(registry.Register(std::make_shared<StifleDetector>(StifleDetector::Kind::kDs)));
+  must(registry.Register(std::make_shared<StifleDetector>(StifleDetector::Kind::kDf)));
   must(registry.Register(std::make_shared<CthDetector>()));
   must(registry.Register(std::make_shared<SncDetector>()));
   must(registry.Register(std::make_shared<SelectStarDetector>()));

@@ -173,24 +173,30 @@ Status AnalyzePreClean(const PipelineOptions& options, const catalog::Schema* sc
   result.antipatterns = DetectAntipatterns(result.parsed, result.templates, schema,
                                            options.detector, detectors.value(), pool);
   const AntipatternReport& report = result.antipatterns;
-  stats.distinct_dw = report.CountDistinct(AntipatternType::kDwStifle);
-  stats.queries_dw = report.CountQueries(AntipatternType::kDwStifle);
-  stats.distinct_ds = report.CountDistinct(AntipatternType::kDsStifle);
-  stats.queries_ds = report.CountQueries(AntipatternType::kDsStifle);
-  stats.distinct_df = report.CountDistinct(AntipatternType::kDfStifle);
-  stats.queries_df = report.CountQueries(AntipatternType::kDfStifle);
-  stats.distinct_cth = report.CountDistinct(AntipatternType::kCthCandidate);
-  stats.queries_cth = report.CountQueries(AntipatternType::kCthCandidate);
-  stats.distinct_snc = report.CountDistinct(AntipatternType::kSnc);
-  stats.queries_snc = report.CountQueries(AntipatternType::kSnc);
-
-  // Registry additions (legacy_type kCustom, not a custom-rule adapter)
-  // get their own row pair; empty for the default set, so the
-  // golden-compared table is unchanged there.
   const DetectorSet& set = *report.detectors;
+  // The paper's rows (Table 5) count by registry id; an id missing from
+  // the selected set counts 0.
+  auto paper_row = [&](const char* id, uint64_t& distinct, uint64_t& queries) {
+    const int d = set.IndexOf(id);
+    distinct = d < 0 ? 0 : report.DistinctOf(static_cast<uint32_t>(d));
+    queries = d < 0 ? 0 : report.QueriesOf(static_cast<uint32_t>(d));
+  };
+  paper_row("dw-stifle", stats.distinct_dw, stats.queries_dw);
+  paper_row("ds-stifle", stats.distinct_ds, stats.queries_ds);
+  paper_row("df-stifle", stats.distinct_df, stats.queries_df);
+  paper_row("cth", stats.distinct_cth, stats.queries_cth);
+  paper_row("snc", stats.distinct_snc, stats.queries_snc);
+
+  // Registry additions (neither a paper id nor an AST-reading custom-rule
+  // adapter) get their own row pair; empty for the default set, so the
+  // golden-compared table is unchanged there.
+  const std::vector<std::string>& paper_ids = DefaultDetectorIds();
   for (uint32_t d = 0; d < set.size(); ++d) {
     const DetectorInfo& info = set.info(d);
-    if (info.legacy_type != AntipatternType::kCustom || info.custom_rule >= 0) continue;
+    if (info.needs_ast ||
+        std::find(paper_ids.begin(), paper_ids.end(), info.id) != paper_ids.end()) {
+      continue;
+    }
     PipelineStats::DetectorStatsRow row;
     row.label = info.display_name;
     row.distinct_count = report.DistinctOf(d);
@@ -352,8 +358,9 @@ Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
       reader = std::make_unique<log::LogReader>();
       SQLOG_RETURN_IF_ERROR(reader->Open(input_path));
     }
+    // No reserve(batch_size): batch_size is caller-controlled and may be
+    // huge; clear() keeps the grown capacity across batches.
     std::vector<log::LogRecord> batch;
-    batch.reserve(options.batch_size);
     // Shape pool parallel to batch (`.sqb` only): the live prefix is
     // overwritten in place so span vectors keep capacity across batches.
     std::vector<log::RecordShape> shapes;

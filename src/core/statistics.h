@@ -26,6 +26,9 @@ struct PipelineStats {
   uint64_t pattern_count = 0;        // distinct mined patterns
   uint64_t max_pattern_frequency = 0;
 
+  /// The paper's Table 5 rows, counted per registry id ("dw-stifle",
+  /// "ds-stifle", "df-stifle", "cth", "snc"); an id outside the selected
+  /// detector set counts 0.
   uint64_t distinct_dw = 0;
   uint64_t queries_dw = 0;
   uint64_t distinct_ds = 0;
@@ -38,8 +41,9 @@ struct PipelineStats {
   uint64_t queries_snc = 0;
 
   /// One row pair per enabled detector beyond the paper's set (registry
-  /// additions like select-star). Empty for the default detector set, so
-  /// the golden-compared table is unchanged there.
+  /// additions like select-star; custom-rule adapters get none). Empty
+  /// for the default detector set, so the golden-compared table is
+  /// unchanged there.
   struct DetectorStatsRow {
     std::string label;  // the detector's display name
     uint64_t distinct_count = 0;

@@ -86,7 +86,6 @@ void AppendCsvRow(const LogRecord& record, uint64_t seq, std::string& out) {
 // ---------------------------------------------------------------- LogReader
 
 LogReader::LogReader(LogReaderOptions options) : options_(options) {
-  if (options_.batch_size == 0) options_.batch_size = 1;
   if (options_.chunk_bytes == 0) options_.chunk_bytes = 4096;
 }
 
@@ -159,19 +158,6 @@ Status LogReader::ReadRecord(LogRecord* record, bool* eof) {
     ++records_read_;
     return Status::OK();
   }
-}
-
-Status LogReader::ReadBatch(std::vector<LogRecord>* batch) {
-  batch->clear();
-  if (batch->capacity() < options_.batch_size) batch->reserve(options_.batch_size);
-  LogRecord record;
-  bool eof = false;
-  while (batch->size() < options_.batch_size) {
-    SQLOG_RETURN_IF_ERROR(ReadRecord(&record, &eof));
-    if (eof) break;
-    batch->push_back(std::move(record));
-  }
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------- LogWriter

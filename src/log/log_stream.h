@@ -111,8 +111,6 @@ class DiscardingWriter final : public RecordWriter {
 
 /// Options for LogReader.
 struct LogReaderOptions {
-  /// Records per ReadBatch call.
-  size_t batch_size = 4096;
   /// File-read granularity; memory held by the reader is O(chunk_bytes +
   /// longest logical line).
   size_t chunk_bytes = 1 << 20;
@@ -138,10 +136,6 @@ class LogReader : public RecordReader {
   /// Reads the next record into `*record`. Sets `*eof` (and leaves
   /// `*record` untouched) when the input is exhausted.
   Status ReadRecord(LogRecord* record, bool* eof) override;
-
-  /// Clears `*batch` and fills it with up to options.batch_size records.
-  /// An empty batch after an OK return means end of input.
-  Status ReadBatch(std::vector<LogRecord>* batch);
 
   /// True once the underlying file is fully consumed.
   bool exhausted() const { return exhausted_; }

@@ -7,8 +7,9 @@
 ///
 ///   - the end-to-end cleaning pipeline and its builder
 ///     (sqlog::core::Pipeline, PipelineBuilder, PipelineOptions),
-///   - the custom-rule registry — the Sec. 5.4 extension point
-///     (sqlog::core::CustomRule and the ready-made rules),
+///   - the detector plugins behind detection (sqlog::core::DetectorRegistry,
+///     DetectorSet; an antipattern names its detector by set index) and
+///     the Sec. 5.4 CustomRule compat rules,
 ///   - the log model and CSV I/O (sqlog::log::QueryLog, LogIo),
 ///   - the synthetic SkyServer-style workload generator
 ///     (sqlog::log::GenerateLog),

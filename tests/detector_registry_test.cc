@@ -50,7 +50,6 @@ TEST(DetectorRegistryTest, GlobalRegistryCarriesBuiltinsAndTheirMetadata) {
   EXPECT_EQ(dw->info().scope, core::DetectorScope::kSequence);
   EXPECT_EQ(dw->info().scan_group, "stifle");
   EXPECT_TRUE(dw->info().solvable);
-  EXPECT_EQ(dw->info().legacy_type, core::AntipatternType::kDwStifle);
 
   auto cth = registry.Find("cth");
   ASSERT_NE(cth, nullptr);
@@ -62,7 +61,6 @@ TEST(DetectorRegistryTest, GlobalRegistryCarriesBuiltinsAndTheirMetadata) {
   EXPECT_EQ(star->info().display_name, "Implicit Columns");
   EXPECT_EQ(star->info().scope, core::DetectorScope::kPerQuery);
   EXPECT_FALSE(star->info().solvable);
-  EXPECT_EQ(star->info().legacy_type, core::AntipatternType::kCustom);
   EXPECT_FALSE(star->info().needs_ast);
 
   ASSERT_NE(registry.Find("null-fear"), nullptr);
@@ -133,7 +131,8 @@ TEST(DetectorSetTest, CustomRulesAppendAdapterDetectors) {
   auto set = DetectorSet::Resolve(options);
   ASSERT_TRUE(set.ok()) << set.status().ToString();
   ASSERT_EQ(set.value()->size(), 2u);
-  EXPECT_EQ(set.value()->info(1).custom_rule, 0);
+  EXPECT_EQ(set.value()->info(1).id, "custom-rule-0");
+  EXPECT_EQ(set.value()->IndexOf("custom-rule-0"), 1);
   EXPECT_TRUE(set.value()->info(1).needs_ast);
   EXPECT_TRUE(set.value()->AnyNeedsAst());
 }

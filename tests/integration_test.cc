@@ -80,8 +80,10 @@ TEST_F(IntegrationTest, StifleDetectionMatchesGroundTruthLabels) {
   // or the CTH-real label, since program-driven treasure-hunt follow-ups
   // are themselves DW runs (paper Table 2 double-labels them).
   size_t checked = 0;
+  const int dw = result_->antipatterns.detectors->IndexOf("dw-stifle");
+  ASSERT_GE(dw, 0);
   for (const auto& instance : result_->antipatterns.instances) {
-    if (instance.type != core::AntipatternType::kDwStifle) continue;
+    if (static_cast<int>(instance.detector) != dw) continue;
     for (size_t q : instance.query_indices) {
       size_t record = result_->parsed.queries[q].record_index;
       log::TruthLabel truth = result_->pre_clean.records()[record].truth;
@@ -146,7 +148,7 @@ TEST_F(IntegrationTest, CleanLogStatementsAllParse) {
 TEST_F(IntegrationTest, RemovalLogContainsNoAntipatternQueries) {
   std::unordered_set<std::string> antipattern_statements;
   for (const auto& instance : result_->antipatterns.instances) {
-    if (!core::IsSolvable(instance.type)) continue;
+    if (!result_->antipatterns.detectors->Solvable(instance)) continue;
     for (size_t q : instance.query_indices) {
       size_t record = result_->parsed.queries[q].record_index;
       antipattern_statements.insert(result_->pre_clean.records()[record].statement);

@@ -64,36 +64,39 @@ void ExpectSameRecords(const QueryLog& want, const std::vector<LogRecord>& got) 
   }
 }
 
-TEST(LogStreamTest, WriterReaderRoundTripAtSeveralBatchSizes) {
-  const QueryLog original = AwkwardLog();
-  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{4096}}) {
-    std::string path = TempPath("log_stream_roundtrip.csv");
-    LogWriter writer;
-    ASSERT_TRUE(writer.Open(path).ok());
-    for (const auto& record : original.records()) {
-      ASSERT_TRUE(writer.Append(record).ok());
-    }
-    ASSERT_TRUE(writer.Close().ok());
+/// Reads every record of `reader` into `*out` with ReadRecord.
+Status ReadAll(LogReader& reader, std::vector<LogRecord>* out) {
+  LogRecord record;
+  bool eof = false;
+  while (true) {
+    SQLOG_RETURN_IF_ERROR(reader.ReadRecord(&record, &eof));
+    if (eof) return Status::OK();
+    out->push_back(std::move(record));
+  }
+}
 
+TEST(LogStreamTest, WriterReaderRoundTripAtSeveralChunkSizes) {
+  const QueryLog original = AwkwardLog();
+  std::string path = TempPath("log_stream_roundtrip.csv");
+  LogWriter writer;
+  ASSERT_TRUE(writer.Open(path).ok());
+  for (const auto& record : original.records()) {
+    ASSERT_TRUE(writer.Append(record).ok());
+  }
+  ASSERT_TRUE(writer.Close().ok());
+  // Tiny chunks force quoted fields to straddle read boundaries.
+  for (size_t chunk_bytes : {size_t{1}, size_t{7}, size_t{16}, size_t{4096}}) {
     LogReaderOptions options;
-    options.batch_size = batch_size;
-    // Tiny chunks force quoted fields to straddle read boundaries.
-    options.chunk_bytes = 16;
+    options.chunk_bytes = chunk_bytes;
     LogReader reader(options);
     ASSERT_TRUE(reader.Open(path).ok());
     std::vector<LogRecord> all;
-    std::vector<LogRecord> batch;
-    while (true) {
-      ASSERT_TRUE(reader.ReadBatch(&batch).ok());
-      if (batch.empty()) break;
-      EXPECT_LE(batch.size(), batch_size);
-      for (auto& record : batch) all.push_back(std::move(record));
-    }
+    ASSERT_TRUE(ReadAll(reader, &all).ok()) << "chunk " << chunk_bytes;
     EXPECT_TRUE(reader.exhausted());
     EXPECT_EQ(reader.records_read(), original.size());
     ExpectSameRecords(original, all);
-    std::remove(path.c_str());
   }
+  std::remove(path.c_str());
 }
 
 TEST(LogStreamTest, WriterBytesMatchLogIoToCsv) {
@@ -329,12 +332,7 @@ TEST(LogStreamTest, FinalRecordWithoutTrailingNewlineAtEveryChunkSize) {
     LogReader reader(options);
     ASSERT_TRUE(reader.Open(path).ok()) << "chunk " << chunk;
     std::vector<LogRecord> all;
-    std::vector<LogRecord> batch;
-    while (true) {
-      ASSERT_TRUE(reader.ReadBatch(&batch).ok()) << "chunk " << chunk;
-      if (batch.empty()) break;
-      for (auto& record : batch) all.push_back(std::move(record));
-    }
+    ASSERT_TRUE(ReadAll(reader, &all).ok()) << "chunk " << chunk;
     ExpectSameRecords(original, all);
   }
   std::remove(path.c_str());

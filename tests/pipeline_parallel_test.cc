@@ -83,12 +83,30 @@ void ExpectResultsIdentical(const core::PipelineResult& serial,
   for (size_t i = 0; i < serial.antipatterns.instances.size(); ++i) {
     const auto& ia = serial.antipatterns.instances[i];
     const auto& ib = parallel.antipatterns.instances[i];
-    ASSERT_EQ(ia.type, ib.type) << "instance " << i;
+    ASSERT_EQ(ia.detector, ib.detector) << "instance " << i;
     ASSERT_EQ(ia.query_indices, ib.query_indices) << "instance " << i;
-    ASSERT_EQ(ia.custom_rule, ib.custom_rule) << "instance " << i;
+    ASSERT_EQ(ia.detail, ib.detail) << "instance " << i;
   }
   ASSERT_EQ(serial.antipatterns.instance_of_query, parallel.antipatterns.instance_of_query);
+
+  // Distinct groups in first-seen order, each under the same detector.
   ASSERT_EQ(serial.antipatterns.distinct.size(), parallel.antipatterns.distinct.size());
+  for (size_t i = 0; i < serial.antipatterns.distinct.size(); ++i) {
+    const auto& da = serial.antipatterns.distinct[i];
+    const auto& db = parallel.antipatterns.distinct[i];
+    ASSERT_EQ(da.detector, db.detector) << "distinct " << i;
+    ASSERT_EQ(da.template_ids, db.template_ids) << "distinct " << i;
+    ASSERT_EQ(da.instance_count, db.instance_count) << "distinct " << i;
+    ASSERT_EQ(da.query_count, db.query_count) << "distinct " << i;
+    ASSERT_EQ(da.users, db.users) << "distinct " << i;
+  }
+  // Both runs resolved the same detector set.
+  const core::DetectorSet& set_a = *serial.antipatterns.detectors;
+  const core::DetectorSet& set_b = *parallel.antipatterns.detectors;
+  ASSERT_EQ(set_a.size(), set_b.size());
+  for (size_t d = 0; d < set_a.size(); ++d) {
+    ASSERT_EQ(set_a.info(d).id, set_b.info(d).id) << "detector " << d;
+  }
 
   // Headline statistics.
   const auto& sa = serial.stats;
@@ -113,6 +131,7 @@ void ExpectResultsIdentical(const core::PipelineResult& serial,
   EXPECT_EQ(sa.queries_snc, sb.queries_snc);
   EXPECT_EQ(sa.final_size, sb.final_size);
   EXPECT_EQ(sa.removal_size, sb.removal_size);
+  EXPECT_EQ(sa.ToTable(), sb.ToTable());
 
   // Parse diagnostics (samples are taken in record order, so they are
   // identical too, not merely equinumerous).
@@ -192,6 +211,37 @@ TEST_F(PipelineParallelTest, ReducedInputModeAlsoMatches) {
   };
   core::PipelineResult serial = run(1);
   core::PipelineResult parallel = run(4);
+  ExpectResultsIdentical(serial, parallel);
+}
+
+TEST_F(PipelineParallelTest, FullDetectorCatalogMatchesSerial) {
+  // The `sqlog report` set: every registered detector, paper and catalog
+  // additions alike, over a log that carries each catalog family.
+  log::GeneratorConfig config;
+  config.seed = 7;
+  config.target_statements = 6000;
+  config.frac_select_star = 0.03;
+  config.frac_null_fear = 0.03;
+  config.frac_spaghetti_join = 0.03;
+  config.frac_non_sargable = 0.03;
+  const log::QueryLog raw = log::GenerateLog(config);
+  auto run = [&](size_t threads) {
+    auto pipeline = core::PipelineBuilder()
+                        .WithSchema(schema_)
+                        .NumThreads(threads)
+                        .Detectors(core::DetectorRegistry::Global().Ids())
+                        .Build();
+    EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    return std::move(pipeline->Run(raw)).value();
+  };
+  core::PipelineResult serial = run(1);
+  core::PipelineResult parallel = run(4);
+  const core::DetectorSet& set = *serial.antipatterns.detectors;
+  ASSERT_EQ(set.size(), core::DetectorRegistry::Global().Ids().size());
+  // Every detector fires, so identity swaps between detectors would show.
+  for (uint32_t d = 0; d < set.size(); ++d) {
+    EXPECT_GT(serial.antipatterns.InstancesOf(d), 0u) << set.info(d).id;
+  }
   ExpectResultsIdentical(serial, parallel);
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "catalog/schema.h"
 #include "core/rules.h"
@@ -48,6 +52,11 @@ log::QueryLog CraftedLog() {
                   "SELECT objid, ra, dec FROM photoPrimary WHERE ra > 20 and ra < 30"));
   raw.Renumber();
   return raw;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
 PipelineResult RunCrafted(PipelineOptions options = {}) {
@@ -363,6 +372,69 @@ TEST(PipelineTest, RunAndRunStreamingReportTheSameCounters) {
       EXPECT_EQ(a.cache_misses, b.cache_misses);
       EXPECT_EQ(a.templates_cached, b.templates_cached);
     }
+  }
+  std::remove(input.c_str());
+}
+
+TEST(PipelineTest, PaperRowsCountByIdAndExtraRowsSkipPaperIdsAndAdapters) {
+  // A selection without ds-stifle plus a catalog addition and a custom
+  // rule: the absent paper id counts 0, the present ones count as in the
+  // default run, and only the catalog addition gets an extra row.
+  PipelineOptions options;
+  options.detector.detector_ids = {"dw-stifle", "select-star", "snc"};
+  options.detector.custom_rules = {MakeMissingWhereRule()};
+  PipelineResult result = RunCrafted(options);
+  PipelineResult defaults = RunCrafted();
+
+  const DetectorSet& set = *result.antipatterns.detectors;
+  ASSERT_EQ(set.size(), 4u);
+  EXPECT_EQ(set.info(3).id, "custom-rule-0");
+  const int dw = set.IndexOf("dw-stifle");
+  ASSERT_GE(dw, 0);
+  EXPECT_GT(result.stats.distinct_dw, 0u);
+  EXPECT_EQ(result.stats.distinct_dw, result.antipatterns.DistinctOf(dw));
+  EXPECT_EQ(result.stats.queries_dw, result.antipatterns.QueriesOf(dw));
+  EXPECT_EQ(result.stats.distinct_dw, defaults.stats.distinct_dw);
+  EXPECT_EQ(result.stats.queries_dw, defaults.stats.queries_dw);
+  EXPECT_GT(defaults.stats.distinct_ds, 0u);
+  EXPECT_EQ(result.stats.distinct_ds, 0u);
+  EXPECT_EQ(result.stats.queries_ds, 0u);
+  EXPECT_EQ(result.stats.distinct_cth, 0u);
+
+  ASSERT_EQ(result.stats.extra_detectors.size(), 1u);
+  EXPECT_EQ(result.stats.extra_detectors[0].label, "Implicit Columns");
+  EXPECT_TRUE(defaults.stats.extra_detectors.empty());
+}
+
+TEST(PipelineTest, StreamingWithAHugeBatchSizeMatchesTheDefault) {
+  // batch_size is caller-controlled: SIZE_MAX must mean "one batch", not
+  // an up-front allocation of SIZE_MAX records.
+  log::GeneratorConfig config;
+  config.seed = 31;
+  config.target_statements = 2000;
+  const std::string dir = ::testing::TempDir();
+  const std::string input = dir + "/huge_batch_input.csv";
+  ASSERT_TRUE(log::LogIo::WriteFile(log::GenerateLog(config), input).ok());
+  static const catalog::Schema schema = catalog::MakeSkyServerSchema();
+
+  auto run = [&](PipelineBuilder builder, const std::string& prefix) {
+    auto pipeline = builder.WithSchema(&schema).Build();
+    EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    auto result = pipeline->RunStreaming(input, prefix + ".clean.csv", prefix + ".removal.csv");
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result->stats.ToTable() : std::string();
+  };
+  const std::string base = dir + "/huge_batch_default";
+  const std::string huge = dir + "/huge_batch_max";
+  const std::string table = run(PipelineBuilder(), base);
+  EXPECT_EQ(run(PipelineBuilder().BatchSize(SIZE_MAX), huge), table);
+  for (const char* suffix : {".clean.csv", ".removal.csv"}) {
+    auto want = ReadBytes(base + suffix);
+    auto got = ReadBytes(huge + suffix);
+    EXPECT_FALSE(want.empty()) << suffix;
+    EXPECT_EQ(got, want) << suffix;
+    std::remove((base + suffix).c_str());
+    std::remove((huge + suffix).c_str());
   }
   std::remove(input.c_str());
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "catalog/schema.h"
 #include "core/pipeline.h"
 #include "util/string_util.h"
@@ -73,10 +76,23 @@ class RulePipelineTest : public ::testing::Test {
   }
 };
 
+/// Set index of the adapter detector of custom rule `r`, or -1.
+int RuleIndex(const PipelineResult& result, size_t r) {
+  return result.antipatterns.detectors->IndexOf("custom-rule-" + std::to_string(r));
+}
+
 TEST_F(RulePipelineTest, DetectOnlyRuleAnnotatesAndRemoves) {
   PipelineResult result = Run({MakeSelectStarRule(), MakeMissingWhereRule()});
-  EXPECT_EQ(result.antipatterns.CountInstances(AntipatternType::kCustom), 2u);
-  EXPECT_EQ(result.antipatterns.CountDistinct(AntipatternType::kCustom), 2u);
+  const AntipatternReport& report = result.antipatterns;
+  uint64_t instances = 0;
+  uint64_t distinct = 0;
+  for (size_t r = 0; r < 2; ++r) {
+    ASSERT_GE(RuleIndex(result, r), 0) << r;
+    instances += report.InstancesOf(static_cast<uint32_t>(RuleIndex(result, r)));
+    distinct += report.DistinctOf(static_cast<uint32_t>(RuleIndex(result, r)));
+  }
+  EXPECT_EQ(instances, 2u);
+  EXPECT_EQ(distinct, 2u);
   // Detect-only hits stay in the clean log but leave the removal log.
   EXPECT_EQ(result.clean_log.size(), 3u);
   EXPECT_EQ(result.removal_log.size(), 1u);
@@ -84,15 +100,21 @@ TEST_F(RulePipelineTest, DetectOnlyRuleAnnotatesAndRemoves) {
 
 TEST_F(RulePipelineTest, DistinctCustomRulesKeepSeparateIdentities) {
   PipelineResult result = Run({MakeSelectStarRule(), MakeMissingWhereRule()});
-  int star_rule = -1;
-  int where_rule = -1;
+  const DetectorSet& set = *result.antipatterns.detectors;
+  const int star_rule = RuleIndex(result, 0);
+  const int where_rule = RuleIndex(result, 1);
+  ASSERT_GE(star_rule, 0);
+  ASSERT_GE(where_rule, 0);
+  EXPECT_EQ(set.info(star_rule).display_name, "select-star");
+  EXPECT_EQ(set.info(where_rule).display_name, "missing-where");
+  bool star_hit = false;
+  bool where_hit = false;
   for (const auto& d : result.antipatterns.distinct) {
-    if (d.type != AntipatternType::kCustom) continue;
-    if (d.custom_rule == 0) star_rule = d.custom_rule;
-    if (d.custom_rule == 1) where_rule = d.custom_rule;
+    if (static_cast<int>(d.detector) == star_rule) star_hit = true;
+    if (static_cast<int>(d.detector) == where_rule) where_hit = true;
   }
-  EXPECT_EQ(star_rule, 0);
-  EXPECT_EQ(where_rule, 1);
+  EXPECT_TRUE(star_hit);
+  EXPECT_TRUE(where_hit);
 }
 
 TEST_F(RulePipelineTest, SolvableCustomRuleRewritesInPlace) {
@@ -113,7 +135,14 @@ TEST_F(RulePipelineTest, SolvableCustomRuleRewritesInPlace) {
 
 TEST_F(RulePipelineTest, NoRulesMeansNoCustomInstances) {
   PipelineResult result = Run({});
-  EXPECT_EQ(result.antipatterns.CountInstances(AntipatternType::kCustom), 0u);
+  EXPECT_EQ(RuleIndex(result, 0), -1);
+  // Every instance comes from one of the paper's default detectors.
+  const DetectorSet& set = *result.antipatterns.detectors;
+  const std::vector<std::string>& paper_ids = DefaultDetectorIds();
+  for (const auto& instance : result.antipatterns.instances) {
+    const std::string& id = set.info(instance.detector).id;
+    EXPECT_NE(std::find(paper_ids.begin(), paper_ids.end(), id), paper_ids.end()) << id;
+  }
 }
 
 }  // namespace

@@ -190,7 +190,10 @@ class SolveLogTest : public ::testing::Test {
     schema_ = catalog::MakeSkyServerSchema();
     DetectorOptions options;
     options.cth_min_support = 1;
-    report_ = DetectAntipatterns(parsed_, store_, &schema_, options);
+    auto detectors = DetectorSet::Resolve(options);
+    EXPECT_TRUE(detectors.ok()) << detectors.status().ToString();
+    report_ = DetectAntipatterns(parsed_, store_, &schema_, options,
+                                 std::move(detectors.value()));
     return SolveAntipatterns(log_, parsed_, report_);
   }
 

@@ -15,11 +15,13 @@
 // The command list above, the Usage() text, and the main() dispatch are
 // all generated from the single kCommands table at the bottom.
 
-#include <cstdio>
-#include <cstdlib>
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "sqlog.h"
 
@@ -35,6 +37,27 @@ using namespace sqlog;
 // Usage() and main() render/dispatch the kCommands table below; the
 // command handlers only need the forward declaration.
 int Usage();
+
+/// Parses a whole argument token as a non-negative number. A partial
+/// parse ("12abc"), a sign, a negative, non-finite or out-of-range value
+/// prints an `error:` line naming `what` and returns false; callers then
+/// exit 2 before touching any file.
+template <typename T>
+bool ParseNonNegative(const char* what, const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value) && value >= 0;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "error: %s must be a non-negative number, got '%s'\n", what, text);
+    return false;
+  }
+  *out = value;
+  return true;
+}
 
 /// --streaming / --batch-size=<n> / --no-parse-cache / --format=<f>,
 /// stripped from the argument list by ParseStreamFlags (remaining
@@ -58,7 +81,7 @@ int ParseStreamFlags(int argc, char** argv, StreamFlags* flags) {
       continue;
     }
     if (std::strncmp(argv[i], "--batch-size=", 13) == 0) {
-      flags->batch_size = std::strtoull(argv[i] + 13, nullptr, 10);
+      if (!ParseNonNegative("--batch-size", argv[i] + 13, &flags->batch_size)) return -1;
       flags->streaming = true;
       continue;
     }
@@ -147,7 +170,7 @@ Result<core::StreamingRunResult> RunStreamingPipeline(const StreamFlags& flags,
 int CmdGenerate(int argc, char** argv) {
   if (argc < 2) return Usage();
   log::GeneratorConfig config;
-  config.target_statements = static_cast<size_t>(std::strtoull(argv[0], nullptr, 10));
+  if (!ParseNonNegative("n", argv[0], &config.target_statements)) return 2;
   log::QueryLog log = log::GenerateLog(config);
   Status s = log::LogIo::WriteFile(log, argv[1]);
   if (!s.ok()) {
@@ -318,7 +341,8 @@ int CmdStats(int argc, char** argv) {
 
 int CmdPatterns(int argc, char** argv) {
   if (argc < 1) return Usage();
-  size_t k = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 15;
+  size_t k = 15;
+  if (argc > 1 && !ParseNonNegative("k", argv[1], &k)) return 2;
   auto raw = Load(argv[0]);
   if (!raw.ok()) {
     std::fprintf(stderr, "error: %s\n", raw.status().ToString().c_str());
@@ -345,7 +369,8 @@ int CmdPatterns(int argc, char** argv) {
 
 int CmdAntipatterns(int argc, char** argv) {
   if (argc < 1) return Usage();
-  size_t k = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 15;
+  size_t k = 15;
+  if (argc > 1 && !ParseNonNegative("k", argv[1], &k)) return 2;
   auto raw = Load(argv[0]);
   if (!raw.ok()) {
     std::fprintf(stderr, "error: %s\n", raw.status().ToString().c_str());
@@ -473,7 +498,8 @@ int CmdReport(int argc, char** argv) {
 
 int CmdCluster(int argc, char** argv) {
   if (argc < 1) return Usage();
-  double threshold = argc > 1 ? std::strtod(argv[1], nullptr) : 0.9;
+  double threshold = 0.9;
+  if (argc > 1 && !ParseNonNegative("threshold", argv[1], &threshold)) return 2;
   auto raw = Load(argv[0]);
   if (!raw.ok()) {
     std::fprintf(stderr, "error: %s\n", raw.status().ToString().c_str());
