@@ -71,8 +71,7 @@ StageSeconds RunOnce(const log::QueryLog& raw, const catalog::Schema& schema,
   Timer timer;
 
   core::DedupStats dedup_stats;
-  log::QueryLog pre_clean =
-      core::RemoveDuplicates(raw, defaults.dedup, &dedup_stats, pool.get());
+  log::QueryLog pre_clean = core::RemoveDuplicates(raw, defaults.dedup, &dedup_stats);
   out.dedup = timer.ElapsedSeconds();
 
   std::vector<std::vector<log::LogRecord>> batches;

@@ -127,14 +127,15 @@ stats_after=$(cd "$stats_dir" && ls -A | xargs sha256sum)
 rm -r "$stats_dir"
 
 # 3b3. Numeric arguments parse strictly: a negative or partly numeric
-#      value exits 2 with an `error:` line before any file is created.
+#      value, or a zero batch size, exits 2 with an `error:` line before
+#      any file is created.
 step "malformed numeric CLI arguments are rejected up front"
 args_dir=$(mktemp -d /tmp/sqlog_smoke_clean.args.XXXXXX)
 cp "$smoke_log" "$args_dir/g.csv"
 args_before=$(cd "$args_dir" && ls -A)
 sqlog_bin="$PWD/build/tools/sqlog"
 for args in "clean --batch-size=-1 g.csv o" "clean --batch-size=12abc g.csv o" \
-  "generate -5 x.csv"; do
+  "clean --batch-size=0 g.csv o" "generate -5 x.csv"; do
   status=0
   # shellcheck disable=SC2086  # $args is a word list on purpose
   (cd "$args_dir" && "$sqlog_bin" $args) >/dev/null 2>"$args_dir.err" || status=$?
@@ -148,6 +149,26 @@ for args in "clean --batch-size=-1 g.csv o" "clean --batch-size=12abc g.csv o" \
   }
 done
 rm -r "$args_dir" "$args_dir.err"
+
+# 3b4. The same statement at INT64_MIN and INT64_MAX ms is as far apart
+#      as two records can be, so dedup must keep both, in memory and
+#      streaming (the int64 gap used to wrap to -1, a "duplicate").
+step "extreme timestamps are not duplicates"
+ext_log=/tmp/sqlog_smoke_clean.ext.csv
+{
+  echo 'seq,timestamp_ms,user,session,row_count,truth,statement'
+  echo '0,-9223372036854775808,u,s,1,,"SELECT ra FROM photoobj WHERE objid = 1"'
+  echo '1,9223372036854775807,u,s,1,,"SELECT ra FROM photoobj WHERE objid = 1"'
+} >"$ext_log"
+for mode in "" --streaming; do
+  # shellcheck disable=SC2086  # an empty $mode adds no argument
+  ./build/tools/sqlog clean "$ext_log" /tmp/sqlog_smoke_clean.ext $mode >/dev/null
+  kept=$(($(wc -l </tmp/sqlog_smoke_clean.ext.clean.csv) - 1))
+  [[ $kept -eq 2 ]] || {
+    echo "sqlog clean $mode kept $kept of the 2 extreme-timestamp records" >&2
+    exit 1
+  }
+done
 
 # 3c. Binary clean *output*: `clean --out-format=sqb` must produce `.sqb`
 #     logs that convert back byte-identical to the CSV clean outputs, in

@@ -1,9 +1,11 @@
 #include "core/dedup.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "util/hash.h"
+#include "util/simd.h"
 
 namespace sqlog::core {
 
@@ -12,101 +14,47 @@ namespace {
 uint64_t DedupKeyHash(const DedupOptions& options, std::string_view user,
                       std::string_view statement) {
   if (options.key_hash_for_test) return options.key_hash_for_test(user, statement);
-  return HashCombine(Fnv1a64(user), Fnv1a64(statement));
+  return HashCombine(Fnv1a64(user), simd::HashKey128(statement).lo);
 }
 
-/// Key: (user, statement) → timestamp of the last kept-or-suppressed
-/// occurrence. Chaining on the last occurrence (not the last *kept*
-/// one) means a burst of reloads with sub-threshold gaps collapses
-/// entirely, which matches the web-form-reload interpretation.
-///
-/// The hash only buckets; `first_pos` points at the first occurrence so
-/// the full (user, statement) strings verify every match — a 64-bit
-/// collision between distinct keys lands in the same bucket but can
-/// never flag a non-duplicate (it used to silently delete the colliding
-/// query from the clean log).
-struct LastSeen {
-  size_t first_pos;      // sorted-log position of the first occurrence
-  int64_t timestamp_ms;  // last occurrence in the chain
-};
-
-/// Walks the records at `positions` (ascending sorted-log positions) and
-/// flags duplicates. Factored out so the parallel path can run it once
-/// per user shard over disjoint position sets.
-void MarkDuplicates(const std::vector<log::LogRecord>& records,
-                    const std::vector<size_t>& positions, const DedupOptions& options,
-                    std::vector<uint8_t>& duplicate) {
-  std::unordered_map<uint64_t, std::vector<LastSeen>> last_seen;
-  last_seen.reserve(positions.size() * 2);
-  for (size_t pos : positions) {
-    const log::LogRecord& record = records[pos];
-    uint64_t key = DedupKeyHash(options, record.user, record.statement);
-    std::vector<LastSeen>& bucket = last_seen[key];
-    LastSeen* entry = nullptr;
-    for (LastSeen& candidate : bucket) {
-      const log::LogRecord& first = records[candidate.first_pos];
-      if (first.user == record.user && first.statement == record.statement) {
-        entry = &candidate;
-        break;
-      }
-    }
-    bool is_duplicate = false;
-    if (entry != nullptr) {
-      if (options.unrestricted) {
-        is_duplicate = true;
-      } else {
-        is_duplicate = record.timestamp_ms - entry->timestamp_ms <= options.threshold_ms;
-      }
-      entry->timestamp_ms = record.timestamp_ms;
-    } else {
-      bucket.push_back(LastSeen{pos, record.timestamp_ms});
-    }
-    duplicate[pos] = is_duplicate ? 1 : 0;
-  }
+/// `later - earlier <= threshold` on the exact difference: timestamps are
+/// arbitrary int64 values from the input, so the subtraction can
+/// overflow (INT64_MAX - INT64_MIN used to wrap to -1, a "duplicate").
+bool WithinThreshold(int64_t earlier, int64_t later, int64_t threshold) {
+  int64_t gap = 0;
+  if (__builtin_sub_overflow(later, earlier, &gap)) return later < earlier;
+  return gap <= threshold;
 }
 
 }  // namespace
 
 log::QueryLog RemoveDuplicates(const log::QueryLog& input, const DedupOptions& options,
-                               DedupStats* stats, util::ThreadPool* pool) {
-  log::QueryLog sorted = input;
-  sorted.SortByTime();
-  const auto& records = sorted.records();
-
-  std::vector<uint8_t> duplicate(records.size(), 0);
-  const size_t num_shards = pool == nullptr ? 1 : pool->size() + 1;
-  if (num_shards <= 1) {
-    std::vector<size_t> all(records.size());
-    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-    MarkDuplicates(records, all, options, duplicate);
-  } else {
-    // Shard by user so every (user, statement) chain stays within one
-    // shard; each shard writes disjoint entries of `duplicate`.
-    std::vector<std::vector<size_t>> shard_positions(num_shards);
-    for (size_t i = 0; i < records.size(); ++i) {
-      shard_positions[Fnv1a64(records[i].user) % num_shards].push_back(i);
-    }
-    pool->ParallelFor(0, num_shards, 1, [&](size_t begin, size_t end) {
-      for (size_t shard = begin; shard < end; ++shard) {
-        MarkDuplicates(records, shard_positions[shard], options, duplicate);
-      }
+                               DedupStats* stats, util::ThreadPool* /*pool*/) {
+  const std::vector<log::LogRecord>& records = input.records();
+  // Visit in QueryLog::SortByTime's order without copying the records.
+  std::vector<size_t> order(records.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  if (!std::ranges::is_sorted(records, log::TimeOrderLess)) {
+    std::ranges::stable_sort(order, [&](size_t a, size_t b) {
+      return log::TimeOrderLess(records[a], records[b]);
     });
   }
 
-  log::QueryLog output;
-  size_t removed = 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (duplicate[i] != 0) {
-      ++removed;
-      continue;
-    }
-    output.Append(records[i]);
+  StreamingDeduper deduper(options);
+  std::vector<size_t> survivors;
+  survivors.reserve(order.size());
+  for (size_t i : order) {
+    if (!deduper.IsDuplicate(records[i])) survivors.push_back(i);
   }
+
+  log::QueryLog output;
+  output.records().reserve(survivors.size());
+  for (size_t i : survivors) output.Append(records[i]);
   output.Renumber();
 
   if (stats != nullptr) {
     stats->input_count = input.size();
-    stats->removed_count = removed;
+    stats->removed_count = deduper.duplicates_seen();
     stats->output_count = output.size();
   }
   return output;
@@ -114,30 +62,40 @@ log::QueryLog RemoveDuplicates(const log::QueryLog& input, const DedupOptions& o
 
 StreamingDeduper::StreamingDeduper(const DedupOptions& options) : options_(options) {}
 
+void StreamingDeduper::Evict(int64_t now) {
+  while (!expiry_.empty() &&
+         !WithinThreshold(expiry_.front().timestamp_ms, now, options_.threshold_ms)) {
+    LiveMap::value_type* slot = expiry_.front().slot;
+    expiry_.pop_front();
+    if (--slot->second.pending != 0) continue;
+    auto it = live_.equal_range(slot->first).first;
+    while (&*it != slot) ++it;
+    live_.erase(it);
+  }
+}
+
 bool StreamingDeduper::IsDuplicate(const log::LogRecord& record) {
   ++records_seen_;
-  uint64_t key = DedupKeyHash(options_, record.user, record.statement);
-  std::vector<Entry>& bucket = last_seen_[key];
-  Entry* entry = nullptr;
-  for (Entry& candidate : bucket) {
-    if (candidate.user == record.user && candidate.statement == record.statement) {
-      entry = &candidate;
-      break;
-    }
+  if (!options_.unrestricted) Evict(record.timestamp_ms);
+  const uint64_t key = DedupKeyHash(options_, record.user, record.statement);
+  auto [it, end] = live_.equal_range(key);
+  while (it != end &&
+         (it->second.user != record.user || it->second.statement != record.statement)) {
+    ++it;
   }
-  if (entry == nullptr) {
-    Entry fresh;
-    fresh.user = arena_.Intern(record.user);
-    fresh.statement = arena_.Intern(record.statement);
-    fresh.timestamp_ms = record.timestamp_ms;
-    bucket.push_back(fresh);
-    ++distinct_keys_;
-    return false;
+  bool is_duplicate = false;
+  if (it == end) {
+    it = live_.emplace(key, Entry{record.user, record.statement, record.timestamp_ms, 0});
+  } else {
+    is_duplicate = options_.unrestricted ||
+                   WithinThreshold(it->second.timestamp_ms, record.timestamp_ms,
+                                   options_.threshold_ms);
+    it->second.timestamp_ms = record.timestamp_ms;
   }
-  bool is_duplicate =
-      options_.unrestricted ||
-      record.timestamp_ms - entry->timestamp_ms <= options_.threshold_ms;
-  entry->timestamp_ms = record.timestamp_ms;
+  if (!options_.unrestricted) {
+    ++it->second.pending;
+    expiry_.push_back(Expiry{record.timestamp_ms, &*it});
+  }
   if (is_duplicate) ++duplicates_seen_;
   return is_duplicate;
 }

@@ -2,12 +2,12 @@
 #define SQLOG_CORE_DEDUP_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
-#include "log/arena.h"
 #include "log/record.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -39,27 +39,28 @@ struct DedupStats {
 
 /// Removes duplicate statements: identical text, same user, within the
 /// time threshold of the previous occurrence (chained — a burst of
-/// reloads collapses to its first statement). The input is sorted by
-/// time internally; the output preserves time order and is renumbered.
+/// reloads collapses to its first statement). A front over
+/// StreamingDeduper: the records are visited in (timestamp, seq) order
+/// (stably sorted through an index permutation unless the input already
+/// is), and only the survivors are copied. The output preserves time
+/// order and is renumbered.
 ///
-/// With a non-null `pool`, duplicate marking is sharded by user (every
-/// (user, statement) chain lives wholly inside one user's record set, so
-/// user partitioning cannot change which records are duplicates) and the
-/// kept records are appended in a serial pass — the output is
-/// byte-identical to the serial path.
+/// `pool` is ignored and stays only for source compatibility.
 log::QueryLog RemoveDuplicates(const log::QueryLog& input, const DedupOptions& options,
                                DedupStats* stats = nullptr,
                                util::ThreadPool* pool = nullptr);
 
-/// Incremental duplicate detection for the streaming ingestion path:
-/// records are offered one at a time in (timestamp, seq) order and
-/// classified against a per-(user, statement) last-seen map that stores
-/// the *full* key strings (interned once into an arena), so a 64-bit
-/// hash collision can never flag a non-duplicate. Fed the time-sorted
-/// record sequence, the decisions are exactly RemoveDuplicates's.
+/// The Sec. 5.2 duplicate rule, one record at a time. Records must be
+/// offered in (timestamp, seq) order; each is classified against the
+/// last occurrence of its (user, statement) key. Keys are verified
+/// against full stored strings, so a 64-bit hash collision can never
+/// flag a non-duplicate.
 ///
-/// Memory is O(distinct (user, statement) pairs) — independent of log
-/// length for the duplicate-heavy workloads the paper targets.
+/// A key whose last occurrence lies more than `threshold_ms` behind the
+/// current record can no longer flag anything — its next occurrence
+/// would be kept either way — so it is evicted. Memory is therefore
+/// O(records inside one threshold window), not O(distinct keys); in
+/// unrestricted mode every key is kept for the whole run.
 class StreamingDeduper {
  public:
   explicit StreamingDeduper(const DedupOptions& options);
@@ -68,8 +69,9 @@ class StreamingDeduper {
   /// window chains on the last occurrence, duplicate or not).
   bool IsDuplicate(const log::LogRecord& record);
 
-  /// Distinct (user, statement) keys seen.
-  size_t distinct_keys() const { return distinct_keys_; }
+  /// (user, statement) keys currently held — those last seen inside the
+  /// window of the latest record (all keys seen, in unrestricted mode).
+  size_t live_keys() const { return live_.size(); }
 
   /// Records offered / flagged so far.
   uint64_t records_seen() const { return records_seen_; }
@@ -77,16 +79,28 @@ class StreamingDeduper {
 
  private:
   struct Entry {
-    std::string_view user;       // arena-owned
-    std::string_view statement;  // arena-owned
-    int64_t timestamp_ms = 0;
+    std::string user;
+    std::string statement;
+    int64_t timestamp_ms = 0;  // last occurrence
+    uint32_t pending = 0;      // expiry_ items that point here
+  };
+  /// key hash → entry (several per hash only on a 64-bit collision).
+  using LiveMap = std::unordered_multimap<uint64_t, Entry>;
+  struct Expiry {
+    int64_t timestamp_ms;
+    /// A pointer, not an iterator: a rehash invalidates iterators but
+    /// never moves the elements.
+    LiveMap::value_type* slot;
   };
 
+  /// Drops the entries whose last occurrence is out of `now`'s window.
+  void Evict(int64_t now);
+
   DedupOptions options_ SQLOG_CONST_AFTER_INIT;
-  log::StringArena arena_ SQLOG_SHARD_LOCAL;
-  /// key hash → entries (usually one; more only on a 64-bit collision).
-  std::unordered_map<uint64_t, std::vector<Entry>> last_seen_ SQLOG_SHARD_LOCAL;
-  size_t distinct_keys_ SQLOG_SHARD_LOCAL = 0;
+  LiveMap live_ SQLOG_SHARD_LOCAL;
+  /// One item per occurrence, in arrival (= time) order. An entry is
+  /// erased when its last item expires; earlier items only count down.
+  std::deque<Expiry> expiry_ SQLOG_SHARD_LOCAL;
   uint64_t records_seen_ SQLOG_SHARD_LOCAL = 0;
   uint64_t duplicates_seen_ SQLOG_SHARD_LOCAL = 0;
 };

@@ -235,16 +235,16 @@ Result<PipelineResult> Pipeline::Run(const log::QueryLog& raw_log) const {
 
   PipelineResult result;
 
-  // Step 1 (Sec. 5.2): delete duplicates. RemoveDuplicates sorts its own
-  // copy, so the raw log is read in place; an anonymized copy lives only
-  // until dedup is done.
+  // Step 1 (Sec. 5.2): delete duplicates. RemoveDuplicates visits the
+  // records in time order without copying them, so the raw log is read
+  // in place; an anonymized copy lives only until dedup is done.
   DedupStats dedup_stats;
   if (options_.use_user_metadata) {
-    result.pre_clean = RemoveDuplicates(raw_log, options_.dedup, &dedup_stats, pool);
+    result.pre_clean = RemoveDuplicates(raw_log, options_.dedup, &dedup_stats);
   } else {
     log::QueryLog anonymous = raw_log;
     for (log::LogRecord& record : anonymous.records()) StripUserMetadata(record);
-    result.pre_clean = RemoveDuplicates(anonymous, options_.dedup, &dedup_stats, pool);
+    result.pre_clean = RemoveDuplicates(anonymous, options_.dedup, &dedup_stats);
   }
   result.stats.original_size = raw_log.size();
   result.stats.after_dedup_size = dedup_stats.output_count;

@@ -38,11 +38,12 @@ struct PipelineOptions {
   /// antipatterns, e.g. merged DS pairs lining up into fresh DW runs).
   /// 0 reproduces the paper's single-pass setting.
   size_t extra_clean_passes = 0;
-  /// Worker threads for the parallel stages (dedup, parse+skeletonize,
-  /// pattern mining, antipattern detection). 1 = the serial path; 0 =
-  /// one thread per hardware thread. Results are byte-identical across
-  /// every value — sharding keys (record ranges, user streams) and
-  /// merge orders are deterministic, never wall-clock dependent.
+  /// Worker threads for the parallel stages (parse+skeletonize, pattern
+  /// mining, antipattern detection; dedup is one serial scan). 1 = the
+  /// serial path; 0 = one thread per hardware thread. Results are
+  /// byte-identical across every value — sharding keys (record ranges,
+  /// user streams) and merge orders are deterministic, never wall-clock
+  /// dependent.
   size_t num_threads = 1;
   /// Cap on per-record parse failures kept as diagnostics in
   /// PipelineStats (the failures are always *counted* in full).
@@ -59,13 +60,15 @@ struct PipelineOptions {
   /// Streaming ingestion (Pipeline::RunStreaming): the raw log is never
   /// held in memory — records are read, deduplicated, and parsed in
   /// batches of `batch_size`, and the clean/removal logs are written
-  /// incrementally. Memory is below the in-memory path's but still grows
-  /// with the log: the ParsedLog keeps one entry per surviving record,
-  /// ~1.5 KB each (DESIGN.md § "Streaming & memory model"). Output is
-  /// byte-identical to the in-memory path at any batch size and thread
-  /// count, but the input must already be (timestamp, seq)-ordered and
-  /// the mode supports neither extra_clean_passes nor custom rules
-  /// (their detect hooks read ASTs, which streaming drops).
+  /// incrementally. Dedup state is bounded by the records inside one
+  /// duplicate window (not in unrestricted dedup mode, which keeps every
+  /// key), but memory still grows with the log: the ParsedLog keeps one
+  /// entry per surviving record, ~1.5 KB each (DESIGN.md § "Streaming &
+  /// memory model"). Output is byte-identical to the in-memory path at
+  /// any batch size and thread count, but the input must already be
+  /// (timestamp, seq)-ordered and the mode supports neither
+  /// extra_clean_passes nor custom rules (their detect hooks read ASTs,
+  /// which streaming drops).
   bool streaming = false;
   /// Records per parse batch, in Run and RunStreaming alike; larger
   /// batches parallelize better, smaller ones hold fewer records in

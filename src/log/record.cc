@@ -41,14 +41,13 @@ TruthLabel ParseTruthLabel(const std::string& name) {
   return TruthLabel::kUnlabeled;
 }
 
+bool TimeOrderLess(const LogRecord& a, const LogRecord& b) {
+  if (a.timestamp_ms != b.timestamp_ms) return a.timestamp_ms < b.timestamp_ms;
+  return a.seq < b.seq;
+}
+
 void QueryLog::SortByTime() {
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const LogRecord& a, const LogRecord& b) {
-                     if (a.timestamp_ms != b.timestamp_ms) {
-                       return a.timestamp_ms < b.timestamp_ms;
-                     }
-                     return a.seq < b.seq;
-                   });
+  std::stable_sort(records_.begin(), records_.end(), TimeOrderLess);
 }
 
 void QueryLog::Renumber() {

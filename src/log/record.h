@@ -78,6 +78,9 @@ struct LogRecord {
   TruthLabel truth = TruthLabel::kUnlabeled;
 };
 
+/// (timestamp, seq) order — log order with a stable tie-break.
+bool TimeOrderLess(const LogRecord& a, const LogRecord& b);
+
 /// A query log: records plus bookkeeping helpers.
 class QueryLog {
  public:
@@ -92,7 +95,7 @@ class QueryLog {
 
   void Append(LogRecord record) { records_.push_back(std::move(record)); }
 
-  /// Sorts by (timestamp, seq) — log order with a stable tie-break.
+  /// Stable sort by TimeOrderLess.
   void SortByTime();
 
   /// Re-assigns seq = position after sorting or filtering.

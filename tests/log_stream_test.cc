@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "log/arena.h"
 #include "log/log_io.h"
 #include "log/record.h"
 #include "util/csv.h"
@@ -336,41 +335,6 @@ TEST(LogStreamTest, FinalRecordWithoutTrailingNewlineAtEveryChunkSize) {
     ExpectSameRecords(original, all);
   }
   std::remove(path.c_str());
-}
-
-TEST(StringArenaTest, InternReturnsStableDeduplicatedViews) {
-  StringArena arena;
-  std::string a = "hello";
-  std::string_view va = arena.Intern(a);
-  a = "clobbered";  // the arena copy must be independent
-  std::string_view vb = arena.Intern("hello");
-  EXPECT_EQ(va, "hello");
-  EXPECT_EQ(va.data(), vb.data()) << "equal strings should share storage";
-  EXPECT_EQ(arena.size(), 1u);
-  EXPECT_EQ(arena.payload_bytes(), 5u);
-}
-
-TEST(StringArenaTest, SurvivesChunkGrowthAndOversizedStrings) {
-  StringArena arena(/*chunk_bytes=*/32);
-  std::vector<std::string_view> views;
-  std::vector<std::string> originals;
-  for (int i = 0; i < 100; ++i) {
-    originals.push_back("string-" + std::to_string(i));
-    views.push_back(arena.Intern(originals.back()));
-  }
-  // An oversized string gets its own chunk; later small interns must not
-  // overwrite it (regression for the dedicated-chunk offset bug).
-  std::string big(500, 'x');
-  std::string_view big_view = arena.Intern(big);
-  for (int i = 100; i < 200; ++i) {
-    originals.push_back("string-" + std::to_string(i));
-    views.push_back(arena.Intern(originals.back()));
-  }
-  EXPECT_EQ(big_view, big);
-  for (size_t i = 0; i < views.size(); ++i) {
-    EXPECT_EQ(views[i], originals[i]) << i;
-  }
-  EXPECT_EQ(arena.size(), 201u);
 }
 
 }  // namespace

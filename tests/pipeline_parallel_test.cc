@@ -1,7 +1,7 @@
 // Serial-vs-parallel equivalence: the parallel engine must produce
 // byte-identical results to the serial path for every thread count —
-// sharding keys (record ranges, user hash classes, user-id ranges) and
-// merge orders are deterministic, never wall-clock dependent.
+// sharding keys (record ranges, user-id ranges) and merge orders are
+// deterministic, never wall-clock dependent.
 
 #include <gtest/gtest.h>
 

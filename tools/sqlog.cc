@@ -82,6 +82,11 @@ int ParseStreamFlags(int argc, char** argv, StreamFlags* flags) {
     }
     if (std::strncmp(argv[i], "--batch-size=", 13) == 0) {
       if (!ParseNonNegative("--batch-size", argv[i] + 13, &flags->batch_size)) return -1;
+      if (flags->batch_size == 0) {
+        std::fprintf(stderr, "error: --batch-size must be at least 1, got '%s'\n",
+                     argv[i] + 13);
+        return -1;
+      }
       flags->streaming = true;
       continue;
     }
